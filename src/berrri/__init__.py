@@ -27,7 +27,6 @@ from .engine import (
     sweep,
 )
 from .errors import BerrriError, EngineError, ValidationError
-from .kernels import available_backends, default_backend
 from .metrics import PRCurve, confidence_interval, precision_recall, rss, timing_ladder
 from .model import elbo, log_joint
 from .simulate import SimConfig, simulate, synthetic_genotypes
@@ -55,10 +54,8 @@ __all__ = [
     "TraceMonitor",
     "ValidationError",
     "VariationalState",
-    "available_backends",
     "check_convergence",
     "confidence_interval",
-    "default_backend",
     "elbo",
     "fdr_threshold",
     "fit",

@@ -37,6 +37,7 @@ class AssociationScores:
 
     vmap holds the score magnitudes, signed the raw posterior-mean products.
     threshold is None when no score reaches the FDR target.
+    permutation_reports holds the FitReport of each permutation refit.
     """
 
     vmap: np.ndarray
@@ -45,6 +46,7 @@ class AssociationScores:
     n_permutations: int = 0
     threshold: Optional[float] = None
     null_scores: Optional[np.ndarray] = None
+    permutation_reports: tuple = ()
 
     def __post_init__(self):
         if self.vmap.shape != self.signed.shape:
@@ -135,26 +137,38 @@ def run_permutation_fdr(
     hp: Hyperparameters,
     fdr_target: float = 0.1,
     n_permutations: int = 10,
-    backend: Optional[str] = None,
 ):
     """Fit on real data, refit on permuted data, pool a global null, threshold.
 
     Returns (AssociationScores, VariationalState, FitReport) for the real fit.
-    Permutation fits reuse the same hyperparameters with per-permutation
-    derived seeds; a non-converged permutation fit is kept (with a warning)
-    since its scores are still valid null draws.
+    The real fit runs on its own, exactly as `fit` would run it; the
+    permutation refits reuse the same hyperparameters with per-permutation
+    derived seeds and run as one batch (their scores may differ from
+    one-by-one refits in the last bits).  A non-converged permutation fit is
+    kept (with a warning) since its scores are still valid null draws.
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
-    state, report = fit(data, hp, backend=backend)
+    state, report = fit(data, hp)
     signed = vmap_signed(state)
     scores = np.abs(signed)
 
-    null_parts = []
-    for j in range(n_permutations):
-        shuffled = permute_labels(data, child_rng(hp.seed, "fdr-permutation", j))
-        perm_seed = int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0])
-        perm_state, perm_report = fit(shuffled, replace(hp, seed=perm_seed), backend=backend)
+    shuffled = [
+        permute_labels(data, child_rng(hp.seed, "fdr-permutation", j)) for j in range(n_permutations)
+    ]
+    perm_hps = [
+        replace(hp, seed=int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0]))
+        for j in range(n_permutations)
+    ]
+    perm_states, perm_reports = fit(shuffled, perm_hps)
+    for j, perm_report in enumerate(perm_reports):
+        logger.info(
+            "permutation %d: %s after %d iterations, final elbo %.6f",
+            j,
+            "converged" if perm_report.converged else "stopped",
+            perm_report.iterations,
+            perm_report.final_elbo,
+        )
         if not perm_report.converged:
             logger.warning(
                 "permutation %d did not converge in %d iterations; "
@@ -162,8 +176,7 @@ def run_permutation_fdr(
                 j,
                 perm_report.iterations,
             )
-        null_parts.append(vmap(perm_state).ravel())
-    null = np.concatenate(null_parts)
+    null = np.concatenate([vmap(s).ravel() for s in perm_states])
 
     threshold = fdr_threshold(
         scores.ravel(),
@@ -179,6 +192,7 @@ def run_permutation_fdr(
         n_permutations=n_permutations,
         threshold=threshold,
         null_scores=null,
+        permutation_reports=tuple(perm_reports),
     )
     return result, state, report
 

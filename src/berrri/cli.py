@@ -6,16 +6,16 @@ single machine-parsable line on stderr.
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from . import io, kernels, metrics
+from . import io, metrics
 from .associate import run_permutation_fdr
 from .engine import fit
 from .errors import BerrriError, ValidationError
@@ -61,23 +61,26 @@ def _add_out_dir(parser):
     )
 
 
+# (flag, Hyperparameters field, type, help); every default comes from the
+# field's own default, so the command line fits the library's model.
+_HYPER_FLAGS = (
+    ("--alpha", "alpha", float, "IBP concentration"),
+    ("--sigma2", "sigma2", float, "shared noise variance"),
+    ("--ard-shape", "c", float, "ARD inverse-gamma shape c"),
+    ("--ard-rate", "d", float, "ARD inverse-gamma rate d"),
+    ("--k-max", "k_max", int, "factor truncation (default min(Q, 50))"),
+    ("--p-thresh", "p_thresh", float, "convergence p-value cutoff"),
+    ("--burn-in", "burn_in", int, "iterations excluded from traces"),
+    ("--check-interval", "check_interval", int, "iterations between convergence checks"),
+    ("--max-iter", "max_iter", int, "sweep cap"),
+    ("--seed", "seed", int, "master RNG seed"),
+)
+
+
 def _add_hyper_flags(parser):
-    parser.add_argument("--alpha", type=float, default=1.0, help="IBP concentration")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="shared noise variance")
-    parser.add_argument("--ard-shape", type=float, default=1e-3, dest="c", help="ARD inverse-gamma shape c")
-    parser.add_argument("--ard-rate", type=float, default=1e-3, dest="d", help="ARD inverse-gamma rate d")
-    parser.add_argument("--k-max", type=int, default=None, help="factor truncation (default min(Q, 50))")
-    parser.add_argument("--p-thresh", type=float, default=0.05, help="convergence p-value cutoff")
-    parser.add_argument("--burn-in", type=int, default=100, help="iterations excluded from traces")
-    parser.add_argument("--check-interval", type=int, default=100, help="iterations between convergence checks")
-    parser.add_argument("--max-iter", type=int, default=1000, help="sweep cap")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "python", "cython"),
-        default="auto",
-        help="coordinate-update backend",
-    )
+    defaults = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
+    for flag, name, kind, text in _HYPER_FLAGS:
+        parser.add_argument(flag, type=kind, default=defaults[name], dest=name, help=text)
 
 
 def _add_input_flags(parser):
@@ -88,22 +91,7 @@ def _add_input_flags(parser):
 
 
 def _hp_from_args(args) -> Hyperparameters:
-    return Hyperparameters(
-        alpha=args.alpha,
-        sigma2=args.sigma2,
-        c=args.c,
-        d=args.d,
-        k_max=args.k_max,
-        p_thresh=args.p_thresh,
-        burn_in=args.burn_in,
-        check_interval=args.check_interval,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
-
-
-def _backend_from_args(args) -> Optional[str]:
-    return None if args.kernel == "auto" else args.kernel
+    return Hyperparameters(**{name: getattr(args, name) for _, name, _, _ in _HYPER_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repetitions", type=int, default=1)
     bench.add_argument("--max-iter", type=int, default=120)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--backend",
-        choices=("auto", "python", "cython", "both"),
-        default="auto",
-        help="kernel backend to time ('both' compares the two implementations)",
-    )
     return parser
 
 
@@ -211,7 +193,7 @@ def _fit_options(args, extra=()) -> dict:
     keys = [
         "genotypes", "traits", "snp_positions", "trait_positions", "alpha", "sigma2",
         "c", "d", "k_max", "p_thresh", "burn_in", "check_interval", "max_iter",
-        "seed", "kernel", *extra,
+        "seed", *extra,
     ]
     return {k: getattr(args, k, None) for k in keys}
 
@@ -220,7 +202,7 @@ def _cmd_fit(args) -> int:
     out_dir = _require_out_dir(args)
     data = io.load_dataset(args.genotypes, args.traits, args.snp_positions, args.trait_positions)
     hp = _hp_from_args(args)
-    state, report = fit(data, hp, backend=_backend_from_args(args))
+    state, report = fit(data, hp)
     run_cfg = RunConfig("fit", out_dir, _fit_options(args))
     paths = io.save_results(out_dir, data, state, report, config=run_cfg.to_dict())
     logger.info(
@@ -243,7 +225,6 @@ def _cmd_fdr(args) -> int:
         hp,
         fdr_target=args.fdr_target,
         n_permutations=args.n_permutations,
-        backend=_backend_from_args(args),
     )
     run_cfg = RunConfig("fdr", out_dir, _fit_options(args, extra=("fdr_target", "n_permutations")))
     paths = io.save_results(out_dir, data, state, report, scores=scores, config=run_cfg.to_dict())
@@ -312,36 +293,30 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         burn_in=min(100, args.max_iter - 1),
     )
-    backends = list(kernels.available_backends()) if args.backend == "both" else [
-        None if args.backend == "auto" else args.backend
-    ]
     out = io._prepare_out_dir(out_dir)
+    rows = metrics.timing_ladder(
+        ladder,
+        hp,
+        repetitions=args.repetitions,
+        n_individuals=args.n_individuals,
+        n_traits=args.n_traits,
+    )
     bench_path = out / "bench.tsv"
     with open(bench_path, "w") as fh:
-        fh.write("backend\tn_snps\tmean_fit_seconds\tsd_fit_seconds\tper_sweep_seconds\n")
-        for backend in backends:
-            rows = metrics.timing_ladder(
-                ladder,
-                hp,
-                repetitions=args.repetitions,
-                n_individuals=args.n_individuals,
-                n_traits=args.n_traits,
-                backend=backend,
+        fh.write("n_snps\tmean_fit_seconds\tsd_fit_seconds\tper_sweep_seconds\n")
+        for row in rows:
+            fh.write(
+                f"{row.n_snps}\t{io.fmt(row.mean_seconds)}\t"
+                f"{io.fmt(row.sd_seconds)}\t{io.fmt(row.per_sweep_seconds)}\n"
             )
-            shown = backend if backend is not None else kernels.default_backend()
-            for row in rows:
-                fh.write(
-                    f"{shown}\t{row.n_snps}\t{io.fmt(row.mean_seconds)}\t"
-                    f"{io.fmt(row.sd_seconds)}\t{io.fmt(row.per_sweep_seconds)}\n"
-                )
-                logger.info(
-                    "bench backend=%s Q=%d fit=%.3fs/run sweep=%.2fms",
-                    shown, row.n_snps, row.mean_seconds, 1e3 * row.per_sweep_seconds,
-                )
+            logger.info(
+                "bench Q=%d fit=%.3fs/run sweep=%.2fms",
+                row.n_snps, row.mean_seconds, 1e3 * row.per_sweep_seconds,
+            )
     run_cfg = RunConfig("bench", out_dir, {
         "q_ladder": ladder, "n_individuals": args.n_individuals, "n_traits": args.n_traits,
         "k_max": args.k_max, "repetitions": args.repetitions, "max_iter": args.max_iter,
-        "seed": args.seed, "backend": args.backend,
+        "seed": args.seed,
     })
     io._write_manifest(out / "manifest.json", {"config": run_cfg.to_dict()})
     logger.info("bench table -> %s", bench_path)

@@ -9,6 +9,12 @@ factors couple through the shared residual.
 
 Convergence is judged from per-block scalar traces with a Geweke-style
 two-segment test, checked at a fixed iteration cadence after burn-in.
+
+Fits that share the genotype matrix X (permutation refits) run as one batch:
+the state carries a leading batch axis, the inclusion kernel updates every
+member at once with one (B x Q)(Q x N) product per SNP, and the other blocks
+work member by member on views of the stacked arrays.  A single fit is the
+batch of one.
 """
 
 import logging
@@ -18,7 +24,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import digamma, erfc, expit
+from scipy.special import digamma, erfc
 
 from . import kernels
 from .errors import EngineError, ValidationError
@@ -67,26 +73,45 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     kappa[..., 0] = hp.c + 0.5
     kappa[..., 1] = hp.d + 0.5
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=kappa)
-    ws = _Workspace(data)
-    M = data.X @ state.eta
+    ws = _Workspace([data], [hp])
+    batch = _as_batch(state)
+    M = ws.X @ batch.eta
     for k in range(K):
-        _A_factor_update(state, data, hp, k, M, ws.x2sum)
+        _A_factor_update(batch, ws, k, M)
     state.kappa[..., 0] = hp.c + 0.5
     state.kappa[..., 1] = hp.d + (state.varphi + state.phi**2) / 2.0
     return state
 
 
 class _Workspace:
-    """Per-fit constants derived from the genotype matrix."""
+    """Constants of one batch of fits: the genotype matrix they share, and
+    their traits and noise variances stacked along the batch axis."""
 
-    def __init__(self, data: Dataset):
-        self.XT = np.ascontiguousarray(data.X.T)
-        self.x2sum = (data.X**2).sum(axis=0)
+    def __init__(self, datasets, hps):
+        X = datasets[0].X
+        for data in datasets[1:]:
+            if data.X is not X and not np.array_equal(data.X, X):
+                raise ValidationError("fits in one batch must share the genotype matrix")
+        self.X = X
+        self.XT = np.ascontiguousarray(X.T)
+        self.x2sum = (X**2).sum(axis=0)
+        self.Y = np.stack([data.Y for data in datasets])
+        self.sigma2 = np.array([hp.sigma2 for hp in hps])
+
+
+def _as_batch(state: VariationalState) -> VariationalState:
+    """A plain state as a batch of one whose arrays are views of its own."""
+    return VariationalState(
+        state.lam[None], state.eta[None], state.phi[None], state.varphi[None],
+        state.kappa[None], iteration=state.iteration,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Block updates.  The standalone functions recompute whatever they need from
 # the current state; `sweep` reuses the same cores with per-factor caching.
+# The inclusion and effect-size cores take a batch (a plain state enters as
+# a batch of one).
 # ---------------------------------------------------------------------------
 
 
@@ -98,58 +123,78 @@ def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
     return state.lam[k, 0], state.lam[k, 1]
 
 
-def _factor_residual(state: VariationalState, data: Dataset, k: int, M: np.ndarray) -> np.ndarray:
-    """Expected residual of Y with factor k's contribution excluded."""
-    return data.Y - M @ state.phi + np.outer(M[:, k], state.phi[k])
+def _factor_residual(Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
+    """Expected residual of one member's Y with factor k's contribution excluded."""
+    return Y - M @ phi + M[:, k, None] * phi[k]
 
 
-def _eta_factor_inputs(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int):
-    """Quantities that stay fixed across one factor's inclusion sweep."""
-    M = data.X @ state.eta
-    R_k = _factor_residual(state, data, k, M)
-    u = R_k @ state.phi[k]
-    prior_logit = float(digamma(state.lam[k, 0]) - digamma(state.lam[k, 1]))
-    sa2 = float((state.varphi[k] + state.phi[k] ** 2).sum())
-    return u, prior_logit, sa2
+def _eta_factor_inputs(batch: VariationalState, ws: _Workspace, k: int):
+    """Per-member quantities that stay fixed across one factor's inclusion
+    sweep: the residual projected onto the effect means (B x N), the prior
+    logit and the summed effect second moment (length B)."""
+    M = ws.X @ batch.eta
+    U = np.array([
+        _factor_residual(Y, M_b, phi, k) @ phi[k] for Y, M_b, phi in zip(ws.Y, M, batch.phi)
+    ])
+    prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
+    sa2 = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1)
+    return U, prior_logit, sa2
 
 
-def _eta_scalar_update(state, ws, k: int, q: int, u, prior_logit, sa2, inv_sigma2):
-    eta_k = state.eta[:, k]
-    m_full = eta_k @ ws.XT
-    dot_xm = ws.XT[q] @ m_full - eta_k[q] * ws.x2sum[q]
-    dot_xu = ws.XT[q] @ u
-    zeta = (
-        prior_logit
-        - 0.5 * sa2 * inv_sigma2 * ws.x2sum[q]
-        - sa2 * inv_sigma2 * dot_xm
-        + inv_sigma2 * dot_xu
+def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
+    member = f" of batch member {b}" if batch_size > 1 else ""
+    return EngineError(
+        f"non-finite inclusion logit at factor {k}, SNP {q}{member}; state is corrupted"
     )
-    if not np.isfinite(zeta):
-        raise EngineError(f"non-finite inclusion logit at factor {k}, SNP {q}; state is corrupted")
-    state.eta[q, k] = expit(zeta)
-    return state.eta[q, k]
+
+
+def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int, snps=None, on_update=None):
+    """Inclusion updates of factor k for every member of the batch.
+
+    The whole factor runs in the kernel unless single SNPs are asked for or
+    each update is reported; then the kernel's per-SNP step runs SNP by SNP.
+    A non-finite logit raises before that SNP (or, in the kernel, before any
+    SNP of the factor) is written.
+    """
+    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
+    E = np.ascontiguousarray(batch.eta[:, :, k])
+    if snps is None and on_update is None:
+        bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / ws.sigma2)
+        if bad is not None:
+            raise _nonfinite_logit(k, bad[1], bad[0], len(E))
+        batch.eta[:, :, k] = E
+        return
+    offset, coef = kernels.eta_factor_terms(ws.XT, ws.x2sum, U, prior_logit, sa2, 1.0 / ws.sigma2)
+    for q in range(len(ws.XT)) if snps is None else snps:
+        zeta = kernels.eta_snp_update(E, ws.XT, q, offset[q], coef)
+        bad = np.flatnonzero(~np.isfinite(zeta))
+        if bad.size:
+            raise _nonfinite_logit(k, q, int(bad[0]), len(E))
+        batch.eta[:, q, k] = E[:, q]
+        if on_update is not None:
+            on_update("eta", k, q)
 
 
 def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int, q: int):
     """Exact mean-field update of one inclusion probability."""
-    ws = _Workspace(data)
-    u, prior_logit, sa2 = _eta_factor_inputs(state, data, hp, k)
-    return _eta_scalar_update(state, ws, k, q, u, prior_logit, sa2, 1.0 / hp.sigma2)
+    _eta_factor_update(_as_batch(state), _Workspace([data], [hp]), k, snps=[q])
+    return state.eta[q, k]
 
 
-def _A_factor_update(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int,
-                     M: np.ndarray, x2sum: np.ndarray):
-    eta_k = state.eta[:, k]
-    M_k = M[:, k]
-    S_k = float(M_k @ M_k + x2sum @ (eta_k * (1.0 - eta_k)))
-    R_k = _factor_residual(state, data, k, M)
-    e_inv_delta = state.kappa[k, :, 0] / state.kappa[k, :, 1]
-    precision = e_inv_delta + S_k / hp.sigma2
+def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndarray):
+    """Effect-size row k of every member, given the expected loads M (B x N x K)."""
+    eta_k = batch.eta[:, :, k]
+    M_k = M[:, :, k]
+    S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + (eta_k * (1.0 - eta_k)) @ ws.x2sum
+    MR_k = np.array([
+        M_b[:, k] @ _factor_residual(Y, M_b, phi, k) for Y, M_b, phi in zip(ws.Y, M, batch.phi)
+    ])
+    e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
+    precision = e_inv_delta + (S_k / ws.sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):
         raise EngineError(f"effect-size precision for factor {k} is not positive definite")
-    state.varphi[k] = 1.0 / precision
-    state.phi[k] = (M_k @ R_k) / hp.sigma2 * state.varphi[k]
-    return state.phi[k].copy(), state.varphi[k].copy()
+    batch.varphi[:, k] = 1.0 / precision
+    batch.phi[:, k] = MR_k / ws.sigma2[:, None] * batch.varphi[:, k]
 
 
 def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int):
@@ -158,9 +203,9 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     The row posterior factorizes over traits, so the covariance is diagonal:
     the returned variance vector is the diagonal of the posterior covariance.
     """
-    ws = _Workspace(data)
-    M = data.X @ state.eta
-    return _A_factor_update(state, data, hp, k, M, ws.x2sum)
+    batch = _as_batch(state)
+    _A_factor_update(batch, _Workspace([data], [hp]), k, data.X @ batch.eta)
+    return state.phi[k].copy(), state.varphi[k].copy()
 
 
 def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
@@ -172,67 +217,62 @@ def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
 
 def sweep(
     state: VariationalState,
-    data: Dataset,
-    hp: Hyperparameters,
+    data,
+    hp,
     *,
     order=None,
     on_update: Optional[Callable[[str, int, Optional[int]], None]] = None,
-    backend: Optional[str] = None,
     workspace: Optional[_Workspace] = None,
 ) -> VariationalState:
     """One full coordinate pass in block order lambda, eta, A, kappa.
 
-    `order` overrides the factor processing sequence (default ascending);
-    `on_update` is called after every individual block update, which forces
-    the per-SNP python path for the inclusion block.
+    `state` is one fit's state with its Dataset and Hyperparameters, or a
+    batch (`VariationalState.stack`) with one Dataset and one Hyperparameters
+    per member, all datasets sharing X.  `order` overrides the factor
+    processing sequence (default ascending); `on_update` is called after
+    every individual block update (of all members at once), which runs the
+    inclusion block SNP by SNP.
     """
-    ws = workspace if workspace is not None else _Workspace(data)
-    K, Q, P = state.k_max, state.n_snps, state.n_traits
+    batched = state.eta.ndim == 3
+    batch = state if batched else _as_batch(state)
+    members = [state.member(b) for b in range(len(state.eta))] if batched else [state]
+    datasets = list(data) if batched else [data]
+    hps = list(hp) if batched else [hp]
+    if not len(members) == len(datasets) == len(hps):
+        raise ValidationError(
+            f"a batch of {len(members)} states needs as many datasets and hyperparameters, "
+            f"got {len(datasets)} and {len(hps)}"
+        )
+    ws = workspace if workspace is not None else _Workspace(datasets, hps)
+    K, P = state.k_max, state.n_traits
     factor_order = range(K) if order is None else [int(k) for k in order]
     if order is not None and sorted(factor_order) != list(range(K)):
         raise ValidationError(f"order must be a permutation of 0..{K - 1}")
-    inv_sigma2 = 1.0 / hp.sigma2
 
     for k in factor_order:
-        update_lambda(state, hp, k)
+        for m, h in zip(members, hps):
+            update_lambda(m, h, k)
         if on_update is not None:
             on_update("lambda", k, None)
 
     for k in factor_order:
-        M = data.X @ state.eta
-        R_k = _factor_residual(state, data, k, M)
-        u = R_k @ state.phi[k]
-        prior_logit = float(digamma(state.lam[k, 0]) - digamma(state.lam[k, 1]))
-        sa2 = float((state.varphi[k] + state.phi[k] ** 2).sum())
-        if on_update is None:
-            eta_k = np.ascontiguousarray(state.eta[:, k])
-            status = kernels.eta_factor_sweep(
-                ws.XT, ws.x2sum, eta_k, u, prior_logit, sa2, inv_sigma2, backend=backend
-            )
-            if status != 0:
-                q_bad = -status - 1
-                raise EngineError(
-                    f"non-finite inclusion logit at factor {k}, SNP {q_bad}; state is corrupted"
-                )
-            state.eta[:, k] = eta_k
-        else:
-            for q in range(Q):
-                _eta_scalar_update(state, ws, k, q, u, prior_logit, sa2, inv_sigma2)
-                on_update("eta", k, q)
+        _eta_factor_update(batch, ws, k, on_update=on_update)
 
-    M = data.X @ state.eta
+    M = ws.X @ batch.eta
     for k in factor_order:
-        _A_factor_update(state, data, hp, k, M, ws.x2sum)
+        _A_factor_update(batch, ws, k, M)
         if on_update is not None:
             on_update("A", k, None)
 
     if on_update is None:
-        state.kappa[..., 0] = hp.c + 0.5
-        state.kappa[..., 1] = hp.d + (state.varphi + state.phi**2) / 2.0
+        for m, h in zip(members, hps):
+            m.kappa[..., 0] = h.c + 0.5
+            m.kappa[..., 1] = h.d + (m.varphi + m.phi**2) / 2.0
     else:
         for k in factor_order:
             for p in range(P):
-                update_kappa(state, hp, k, p)
+                for m, h in zip(members, hps):
+                    update_kappa(m, h, k, p)
                 on_update("kappa", k, p)
 
     state.iteration += 1
@@ -349,59 +389,90 @@ class FitReport:
     n_checks: int
 
 
-def fit(
-    data: Dataset,
-    hp: Hyperparameters,
-    init_state: Optional[VariationalState] = None,
-    backend: Optional[str] = None,
-):
+def fit(data, hp, init_state=None):
     """Run coordinate ascent until the trace monitor converges or max_iter.
 
-    Deterministic for a given (data, hp, seed): identical runs produce
-    identical parameter traces and reports.  Non-convergence at max_iter is
-    reported, not raised.
+    Fits one Dataset under its Hyperparameters and returns (state, report).
+    Given sequences of Datasets that share X, of Hyperparameters and, if
+    any, of initial states, fits them as one batch and returns the list of
+    states and the list of reports; each member stops at its own converged
+    check or its own max_iter.  Deterministic for a given (data, hp, seed):
+    identical runs produce identical parameter traces and reports.
+    Non-convergence at max_iter is reported, not raised.
     """
     start = perf_counter()
-    state = init_state.copy() if init_state is not None else initial_state(data, hp)
-    state.validate()
-    if state.n_snps != data.n_snps or state.n_traits != data.n_traits:
+    batched = not isinstance(data, Dataset)
+    datasets = list(data) if batched else [data]
+    hps = list(hp) if batched else [hp]
+    B = len(datasets)
+    inits = [None] * B if init_state is None else list(init_state) if batched else [init_state]
+    if B == 0 or not len(hps) == len(inits) == B:
         raise ValidationError(
-            f"state is for {state.n_snps} SNPs x {state.n_traits} traits, data has "
-            f"{data.n_snps} x {data.n_traits}"
+            f"a batch needs one hyperparameter set and initial state per dataset, got "
+            f"{B} datasets, {len(hps)} hyperparameter sets and {len(inits)} initial states"
         )
-    ws = _Workspace(data)
-    monitor = TraceMonitor(burn_in=hp.burn_in, check_interval=hp.check_interval)
-    elbo_trace = []
-    converged = False
-    last_check = None
-    n_checks = 0
-
-    for _ in range(hp.max_iter):
-        sweep(state, data, hp, backend=backend, workspace=ws)
-        elbo_trace.append(elbo(state, data, hp))
-        monitor.record(state)
-        if monitor.ready():
-            last_check = check_convergence(monitor, hp)
-            n_checks += 1
-            logger.info(
-                "iteration %d: elbo=%.6f p-values=%s",
-                state.iteration,
-                elbo_trace[-1],
-                {b: round(p, 4) for b, p in last_check.p_values.items()},
+    states = []
+    for d, h, init in zip(datasets, hps, inits):
+        state = init.copy() if init is not None else initial_state(d, h)
+        state.validate()
+        if state.n_snps != d.n_snps or state.n_traits != d.n_traits:
+            raise ValidationError(
+                f"state is for {state.n_snps} SNPs x {state.n_traits} traits, data has "
+                f"{d.n_snps} x {d.n_traits}"
             )
-            if last_check.converged:
-                converged = True
-                break
+        states.append(state)
+    ws = _Workspace(datasets, hps)
+    monitors = [TraceMonitor(burn_in=h.burn_in, check_interval=h.check_interval) for h in hps]
+    elbo_traces = [[] for _ in range(B)]
+    last_checks = [None] * B
+    n_checks = [0] * B
+    results = [None] * B
+    active = list(range(B))
+    stack = VariationalState.stack(states)
+    n_sweeps = 0
 
-    report = FitReport(
-        converged=converged,
-        iterations=state.iteration,
-        final_elbo=elbo_trace[-1],
-        k_effective=state.effective_k(),
-        wall_seconds=perf_counter() - start,
-        p_values=dict(last_check.p_values) if last_check else {},
-        t_stats=dict(last_check.t_stats) if last_check else {},
-        elbo_trace=tuple(elbo_trace),
-        n_checks=n_checks,
-    )
-    return state, report
+    while active:
+        sweep(stack, [datasets[b] for b in active], [hps[b] for b in active], workspace=ws)
+        n_sweeps += 1
+        staying = []
+        for i, b in enumerate(active):
+            member = stack.member(i)
+            elbo_traces[b].append(elbo(member, datasets[b], hps[b]))
+            monitors[b].record(member)
+            converged = False
+            if monitors[b].ready():
+                last_checks[b] = check = check_convergence(monitors[b], hps[b])
+                n_checks[b] += 1
+                logger.info(
+                    "%siteration %d: elbo=%.6f p-values=%s",
+                    f"batch member {b}: " if batched else "",
+                    member.iteration,
+                    elbo_traces[b][-1],
+                    {blk: round(p, 4) for blk, p in check.p_values.items()},
+                )
+                converged = check.converged
+            if not (converged or n_sweeps >= hps[b].max_iter):
+                staying.append(i)
+                continue
+            final = member.copy()
+            check = last_checks[b]
+            results[b] = final, FitReport(
+                converged=converged,
+                iterations=final.iteration,
+                final_elbo=elbo_traces[b][-1],
+                k_effective=final.effective_k(),
+                wall_seconds=perf_counter() - start,
+                p_values=dict(check.p_values) if check else {},
+                t_stats=dict(check.t_stats) if check else {},
+                elbo_trace=tuple(elbo_traces[b]),
+                n_checks=n_checks[b],
+            )
+        if len(staying) < len(active):
+            active = [active[i] for i in staying]
+            if active:
+                stack = VariationalState.stack([stack.member(i) for i in staying])
+                ws = _Workspace([datasets[b] for b in active], [hps[b] for b in active])
+
+    if not batched:
+        return results[0]
+    return [r[0] for r in results], [r[1] for r in results]

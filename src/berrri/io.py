@@ -267,6 +267,10 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "threshold": threshold,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
+        "permutation_fits": [
+            {"iterations": r.iterations, "converged": r.converged, "final_elbo": r.final_elbo}
+            for r in scores.permutation_reports
+        ] if scores is not None else None,
         "n_discoveries": int(significant.sum()),
         "n_snps": dataset.n_snps,
         "n_traits": dataset.n_traits,

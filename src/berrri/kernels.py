@@ -1,58 +1,68 @@
-"""Backend selection for the hot coordinate-update kernel.
+"""The SNP-inclusion kernel: one factor's sequential inclusion updates for a
+batch of B fits that share the genotype matrix.
 
-The compiled extension is used when present; otherwise the NumPy fallback.
-`BERRRI_KERNEL=python` (or `cython`) in the environment forces a backend, and
-callers may pass an explicit backend name, which the benchmark uses to compare
-the two implementations.
+The expected factor load is rebuilt from all Q SNPs for every SNP (the
+method's published per-sweep cost is quadratic in the SNP count), and for the
+whole batch at once: one (B x Q)(Q x N) product per SNP.
+
+`eta_factor_terms` and `eta_snp_update` take one fit as vectors (E of length
+Q, U of length N, scalar coefficients) or a batch as matrices (E of B x Q, U
+of B x N, length-B coefficients); their logit offsets are Q-major either way.
 """
 
-import os
+import numpy as np
+from scipy.special import expit
 
-from . import _kernels_py
-from .errors import ValidationError
-
-__all__ = ["available_backends", "default_backend", "eta_factor_sweep"]
-
-try:
-    from . import _kernels as _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-_IMPLS = {"python": _kernels_py}
-if _kernels_cy is not None:
-    _IMPLS["cython"] = _kernels_cy
+__all__ = ["eta_factor_terms", "eta_snp_update", "eta_factor_sweep"]
 
 
-def available_backends() -> tuple:
-    return tuple(sorted(_IMPLS))
+def eta_factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2):
+    """Parts of the inclusion logits that stay fixed across one factor's sweep.
+
+    XT is the Q x N transposed genotype matrix, x2sum its row sums of squares,
+    U the residuals (this factor excluded) projected onto the factor's
+    effect-size means, and sa2 the summed second moment of those effect
+    sizes.  Returns the logit offsets (Q, or Q x B) and the coefficient of
+    the load term (scalar, or length B).
+    """
+    coef = sa2 * inv_sigma2
+    offset = np.multiply.outer(x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * (XT @ U.T)
+    return offset, coef
 
 
-def default_backend() -> str:
-    forced = os.environ.get("BERRRI_KERNEL", "").strip().lower()
-    if forced in ("", "auto"):
-        return "cython" if "cython" in _IMPLS else "python"
-    if forced not in ("python", "cython"):
-        raise ValidationError(
-            f"BERRRI_KERNEL={forced!r} is not one of auto, python, cython"
-        )
-    if forced not in _IMPLS:
-        raise ValidationError(
-            "BERRRI_KERNEL=cython requested but the compiled kernel is not importable"
-        )
-    return forced
+def eta_snp_update(E, XT, q, offset_q, coef):
+    """Update the inclusion probability of SNP q (column q of E) in place.
+
+    The expected load of the other SNPs is rebuilt in full with that column
+    zeroed, then the column is set to the sigmoid of the logits, which are
+    returned (a non-finite logit is left for the caller to report).
+    """
+    column = E.T
+    column[q] = 0.0
+    zeta = offset_q - coef * ((E @ XT) @ XT[q])
+    column[q] = expit(zeta)
+    return zeta
 
 
-def _resolve(backend):
-    name = default_backend() if backend is None else backend
-    try:
-        return name, _IMPLS[name]
-    except KeyError:
-        raise ValidationError(
-            f"kernel backend {name!r} unavailable; have {available_backends()}"
-        ) from None
+def eta_factor_sweep(XT, x2sum, E, U, prior_logit, sa2, inv_sigma2):
+    """Sequential update of E[:, q] for q = 0..Q-1; E is modified in place.
 
-
-def eta_factor_sweep(XT, x2sum, eta_k, u, prior_logit, sa2, inv_sigma2, backend=None):
-    """Dispatch one factor's sequential SNP-inclusion sweep."""
-    _, impl = _resolve(backend)
-    return impl.eta_factor_sweep(XT, x2sum, eta_k, u, prior_logit, sa2, inv_sigma2)
+    E holds the B x Q inclusion probabilities of the factor, U is B x N and
+    prior_logit, sa2 and inv_sigma2 have length B (see `eta_factor_terms`).
+    Finiteness is checked once, after the sweep.  Returns None on success,
+    or (b, q) for the first member b with a non-finite logit and its first
+    such SNP q; E then holds garbage and must not be written back.
+    """
+    args = (E, U, prior_logit, sa2, inv_sigma2)
+    if len(E) == 1:
+        # a batch of one runs on row views: vector steps cost less per SNP
+        args = tuple(a[0] for a in args)
+    offset, coef = eta_factor_terms(XT, x2sum, *args[1:])
+    zeta = np.empty_like(offset)
+    for q in range(len(XT)):
+        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef)
+    bad = ~np.isfinite(zeta.reshape(len(XT), -1).T)
+    if bad.any():
+        b, q = np.argwhere(bad)[0]
+        return int(b), int(q)
+    return None

@@ -133,17 +133,16 @@ def per_sweep_seconds(
     data: Dataset,
     hp: Hyperparameters,
     n_sweeps: int = 5,
-    backend: Optional[str] = None,
     warmup: int = 2,
 ) -> float:
     """Average wall-clock seconds per coordinate sweep on the given data."""
     state = engine.initial_state(data, hp)
-    ws = engine._Workspace(data)
+    ws = engine._Workspace([data], [hp])
     for _ in range(warmup):
-        engine.sweep(state, data, hp, backend=backend, workspace=ws)
+        engine.sweep(state, data, hp, workspace=ws)
     start = perf_counter()
     for _ in range(n_sweeps):
-        engine.sweep(state, data, hp, backend=backend, workspace=ws)
+        engine.sweep(state, data, hp, workspace=ws)
     return (perf_counter() - start) / n_sweeps
 
 
@@ -156,7 +155,6 @@ def timing_ladder(
     n_traits: int = 25,
     k_true: int = 5,
     sim_seed: int = 0,
-    backend: Optional[str] = None,
 ):
     """Wall-clock seconds per full fit at increasing SNP counts.
 
@@ -180,7 +178,7 @@ def timing_ladder(
         times = []
         for _ in range(repetitions):
             start = perf_counter()
-            engine.fit(data, hp, backend=backend)
+            engine.fit(data, hp)
             times.append(perf_counter() - start)
         times = np.asarray(times)
         sd = float(times.std(ddof=1)) if times.size > 1 else 0.0
@@ -189,7 +187,7 @@ def timing_ladder(
                 n_snps=int(q),
                 mean_seconds=float(times.mean()),
                 sd_seconds=sd,
-                per_sweep_seconds=per_sweep_seconds(data, hp, backend=backend),
+                per_sweep_seconds=per_sweep_seconds(data, hp),
             )
         )
     return rows

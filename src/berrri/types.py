@@ -153,6 +153,9 @@ class Hyperparameters:
         return replace(self, **kwargs)
 
 
+_STATE_ARRAYS = ("lam", "eta", "phi", "varphi", "kappa")
+
+
 @dataclass
 class VariationalState:
     """All variational parameters of the factorized posterior.
@@ -165,6 +168,8 @@ class VariationalState:
                 diagonal matrix diag(varphi[k])
     kappa[k,p]  inverse-gamma (shape, rate) over the ARD variance delta[k,p]
 
+    A batch of B fits that advance together is one state whose arrays carry
+    a leading batch axis (`stack`); `member(b)` views fit b as a plain state.
     Owned exclusively by the fitting routine while a fit is running.
     """
 
@@ -177,15 +182,34 @@ class VariationalState:
 
     @property
     def n_snps(self) -> int:
-        return self.eta.shape[0]
+        return self.eta.shape[-2]
 
     @property
     def k_max(self) -> int:
-        return self.eta.shape[1]
+        return self.eta.shape[-1]
 
     @property
     def n_traits(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
+
+    @classmethod
+    def stack(cls, states) -> "VariationalState":
+        """Copy plain states of one shape and iteration into one batch."""
+        states = list(states)
+        if len({tuple(getattr(s, name).shape for name in _STATE_ARRAYS) for s in states}) != 1:
+            raise ValidationError("states in one batch must have the same shapes")
+        if len({s.iteration for s in states}) != 1:
+            raise ValidationError("states in one batch must be at the same iteration")
+        return cls(
+            *(np.stack([getattr(s, name) for s in states]) for name in _STATE_ARRAYS),
+            iteration=states[0].iteration,
+        )
+
+    def member(self, b: int) -> "VariationalState":
+        """Member b of a batch, as a plain state whose arrays are views."""
+        return VariationalState(
+            *(getattr(self, name)[b] for name in _STATE_ARRAYS), iteration=self.iteration
+        )
 
     def covariance(self, k: int) -> np.ndarray:
         """Materialize the (diagonal) posterior covariance of row A[k, :]."""

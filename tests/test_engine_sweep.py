@@ -3,12 +3,14 @@ import pytest
 
 from berrri import (
     Dataset,
+    EngineError,
     Hyperparameters,
     SimConfig,
     ValidationError,
     elbo,
     fit,
     initial_state,
+    permute_labels,
     simulate,
     sweep,
 )
@@ -107,12 +109,31 @@ class TestSweep:
 
     def test_python_path_matches_kernel_path(self):
         data, hp, state = micro_instance(n=6, q=5, p=4, k=3, seed=50)
-        a = state.copy()
-        sweep(a, data, hp)
-        b = state.copy()
-        sweep(b, data, hp, on_update=lambda *args: None)
-        for name in ("lam", "eta", "phi", "varphi", "kappa"):
-            assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=1e-13)
+        _, _, other = micro_instance(n=6, q=5, p=4, k=3, seed=51)
+        shuffled = permute_labels(data, 1)
+        for st, d, h in (
+            (state, data, hp),
+            (VariationalState.stack([state, other]), [data, shuffled], [hp, hp.with_(sigma2=1.3)]),
+        ):
+            a = st.copy()
+            sweep(a, d, h)
+            b = st.copy()
+            sweep(b, d, h, on_update=lambda *args: None)
+            for name in ("lam", "eta", "phi", "varphi", "kappa"):
+                assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=1e-13)
+
+    def test_nonfinite_logit_in_one_member_raises_before_writing(self):
+        data, hp, state = micro_instance(n=6, q=5, p=4, k=3, seed=52)
+        batch = VariationalState.stack([state, state])
+        batch.phi[1, 1] = 1e200
+        batch.varphi[1, 1] = 1e200
+        before = batch.eta.copy()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EngineError, match=r"factor 1, SNP 0 of batch member 1"
+        ):
+            sweep(batch, [data, data], [hp, hp])
+        assert not (batch.eta[:, :, 0] == before[:, :, 0]).all()  # factor 0 ran
+        assert (batch.eta[:, :, 1] == before[:, :, 1]).all()
 
 
 class TestFit:
@@ -169,6 +190,36 @@ class TestFit:
         other = Dataset(X=[[1, 0], [2, 1]], Y=[[0.1], [0.2]])
         with pytest.raises(ValidationError, match="state is for"):
             fit(other, hp, init_state=state)
+
+    def test_batch_members_match_serial_fits(self):
+        # members converge at different check points (50, 60) and two stop
+        # unconverged at max_iter (65); each leaves the batch on its own
+        data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
+        datasets = [permute_labels(data, j) for j in range(6)]
+        hps = [
+            Hyperparameters(k_max=4, seed=j, burn_in=0, check_interval=10, max_iter=65)
+            for j in range(6)
+        ]
+        states, reports = fit(datasets, hps)
+        outcomes = set()
+        for d, h, st, rep in zip(datasets, hps, states, reports):
+            alone, alone_rep = fit(d, h)
+            assert (rep.iterations, rep.converged) == (alone_rep.iterations, alone_rep.converged)
+            assert rep.n_checks == alone_rep.n_checks
+            assert st.iteration == rep.iterations == len(rep.elbo_trace)
+            assert np.allclose(st.eta, alone.eta, rtol=0, atol=1e-10)
+            assert np.allclose(st.phi, alone.phi, rtol=0, atol=1e-10)
+            outcomes.add((rep.iterations, rep.converged))
+        assert {(50, True), (60, True), (65, False)} <= outcomes
+
+    def test_batch_rejects_mismatched_members(self):
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
+        other, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=3))
+        hp = Hyperparameters(k_max=2, burn_in=2, check_interval=5, max_iter=10)
+        with pytest.raises(ValidationError, match="share the genotype matrix"):
+            fit([data, other], [hp, hp])
+        with pytest.raises(ValidationError, match="one hyperparameter set"):
+            fit([data, data], [hp])
 
     def test_report_fields_consistent(self):
         cfg = SimConfig(n_individuals=30, n_snps=10, n_traits=5, k_true=2, seed=6)

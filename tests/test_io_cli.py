@@ -236,25 +236,55 @@ class TestCli:
     def test_fdr_subcommand_writes_null_scores(self, tmp_path):
         sim = self._simulate(tmp_path)
         out = tmp_path / "fdr"
-        assert run([
-            "fdr", "--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv"),
-            "--out-dir", str(out), "--k-max", "2", "--burn-in", "10",
-            "--check-interval", "10", "--max-iter", "40", "--n-permutations", "2",
-        ]) == 0
+        flags = [
+            "--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv"),
+            "--k-max", "2", "--burn-in", "10", "--check-interval", "10", "--max-iter", "40",
+        ]
+        assert run(["fdr", "--out-dir", str(out), *flags, "--n-permutations", "2"]) == 0
         null = (out / "null_scores.tsv").read_text().splitlines()
         assert null[0] == "null_score" and len(null) == 1 + 2 * 8 * 4
         manifest = io.load_manifest(out / "manifest.json")
         assert manifest["n_permutations"] == 2
         assert manifest["fdr_target"] == pytest.approx(0.1)
+        perms = manifest["permutation_fits"]
+        assert len(perms) == 2
+        for entry in perms:
+            assert set(entry) == {"iterations", "converged", "final_elbo"}
+            assert 0 < entry["iterations"] <= 40 and isinstance(entry["converged"], bool)
+        # the real fit inside fdr is the fit `berrri fit` runs, byte for byte
+        assert run(["fit", "--out-dir", str(tmp_path / "fit"), *flags]) == 0
+        for name in ("vmap_matrix.tsv", "factors.tsv", "loadings.tsv"):
+            assert (out / name).read_bytes() == (tmp_path / "fit" / name).read_bytes(), name
+        scores = [line.split("\t")[:4] for line in (out / "vmap.tsv").read_text().splitlines()]
+        fitted = [line.split("\t")[:4] for line in (tmp_path / "fit" / "vmap.tsv").read_text().splitlines()]
+        assert scores == fitted
 
-    def test_bench_writes_backend_comparison(self, tmp_path):
+    def test_default_flags_fit_the_library_model(self, tmp_path):
+        from berrri.cli import _hp_from_args, build_parser
+
+        args = build_parser().parse_args(["fit", "--genotypes", "x", "--traits", "y"])
+        assert _hp_from_args(args) == Hyperparameters()
+        sim = tmp_path / "sim"
+        assert run([
+            "simulate", "--out-dir", str(sim), "--individuals", "60", "--snps", "12",
+            "--traits", "6", "--k-true", "2", "--seed", "5",
+        ]) == 0
+        assert run([
+            "fit", "--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv"),
+            "--out-dir", str(tmp_path / "fit"),
+        ]) == 0
+        manifest = io.load_manifest(tmp_path / "fit" / "manifest.json")
+        assert manifest["converged"]
+        assert manifest["iterations"] < Hyperparameters().max_iter
+
+    def test_bench_writes_timing_table(self, tmp_path):
         out = tmp_path / "bench"
         assert run([
             "bench", "--out-dir", str(out), "--q-ladder", "6,8", "--individuals", "15",
-            "--traits", "3", "--k-max", "2", "--max-iter", "10", "--backend", "both",
+            "--traits", "3", "--k-max", "2", "--max-iter", "10",
         ]) == 0
         lines = (out / "bench.tsv").read_text().splitlines()
-        backends = {line.split("\t")[0] for line in lines[1:]}
-        from berrri import available_backends
-
-        assert backends == set(available_backends())
+        assert lines[0].split("\t") == [
+            "n_snps", "mean_fit_seconds", "sd_fit_seconds", "per_sweep_seconds",
+        ]
+        assert [int(line.split("\t")[0]) for line in lines[1:]] == [6, 8]

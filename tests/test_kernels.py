@@ -1,70 +1,101 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from berrri import ValidationError
-from berrri.kernels import available_backends, default_backend, eta_factor_sweep
+from berrri.kernels import eta_factor_sweep, eta_factor_terms, eta_snp_update
 
 
-def kernel_inputs(n=12, q=8, seed=0):
+def kernel_inputs(n=12, q=8, b=1, seed=0):
     rng = np.random.default_rng(seed)
     XT = np.ascontiguousarray(rng.integers(0, 3, size=(n, q)).astype(float).T)
     x2sum = (XT**2).sum(axis=1)
-    eta_k = rng.uniform(0.05, 0.95, size=q)
-    u = rng.normal(size=n)
-    return XT, x2sum, eta_k, u
+    E = rng.uniform(0.05, 0.95, size=(b, q))
+    U = 0.3 * rng.normal(size=(b, n))
+    prior_logit = rng.normal(size=b)
+    sa2 = rng.uniform(0.01, 0.1, size=b)
+    inv_sigma2 = rng.uniform(0.5, 2.0, size=b)
+    return XT, x2sum, E, U, prior_logit, sa2, inv_sigma2
 
 
-class TestBackends:
-    def test_python_backend_always_available(self):
-        assert "python" in available_backends()
-        assert default_backend() in available_backends()
+def sequential_reference(XT, x2sum, eta_k, u, prior_logit, sa2, inv_sigma2):
+    """One fit's SNP-by-SNP inclusion update, written out as a scalar loop."""
+    eta_k = eta_k.copy()
+    for q in range(eta_k.size):
+        m_full = eta_k @ XT
+        dot_xm = XT[q] @ m_full - eta_k[q] * x2sum[q]
+        zeta = (
+            prior_logit
+            - 0.5 * sa2 * inv_sigma2 * x2sum[q]
+            - sa2 * inv_sigma2 * dot_xm
+            + inv_sigma2 * (XT[q] @ u)
+        )
+        eta_k[q] = expit(zeta)
+    return eta_k
 
-    def test_unknown_backend_rejected(self):
-        XT, x2sum, eta_k, u = kernel_inputs()
-        with pytest.raises(ValidationError, match="unavailable"):
-            eta_factor_sweep(XT, x2sum, eta_k, u, 0.0, 1.0, 1.0, backend="fortran")
 
-    @pytest.mark.skipif("cython" not in available_backends(), reason="extension not built")
-    def test_cython_matches_python(self):
-        for seed in range(10):
-            XT, x2sum, eta_k, u = kernel_inputs(seed=seed)
-            a = eta_k.copy()
-            b = eta_k.copy()
-            assert eta_factor_sweep(XT, x2sum, a, u, -0.4, 0.8, 1.25, backend="cython") == 0
-            assert eta_factor_sweep(XT, x2sum, b, u, -0.4, 0.8, 1.25, backend="python") == 0
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+class TestEtaKernel:
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_matches_sequential_reference(self, b):
+        unsaturated = []
+        for seed in range(5):
+            XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=b, seed=seed)
+            expected = [
+                sequential_reference(XT, x2sum, E[i], U[i], prior[i], sa2[i], inv_s2[i])
+                for i in range(b)
+            ]
+            assert eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2) is None
+            assert np.allclose(E, expected, rtol=1e-12, atol=1e-14)
+            unsaturated.append(((E > 0.01) & (E < 0.99)).mean())
+        assert np.mean(unsaturated) > 0.5  # the comparison is not between saturated values
+
+    def test_batch_rows_match_single_fits(self):
+        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(n=30, q=20, b=6, seed=7)
+        batch = E.copy()
+        eta_factor_sweep(XT, x2sum, batch, U, prior, sa2, inv_s2)
+        for i in range(len(E)):
+            single = E[i:i + 1].copy()
+            one = slice(i, i + 1)
+            eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2[one])
+            assert np.allclose(batch[i], single[0], rtol=1e-13, atol=1e-15)
+
+    def test_snp_steps_compose_to_factor_sweep(self):
+        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=4)
+        swept = E.copy()
+        eta_factor_sweep(XT, x2sum, swept, U, prior, sa2, inv_s2)
+        stepped = E.copy()
+        offset, coef = eta_factor_terms(XT, x2sum, U, prior, sa2, inv_s2)
+        for q in range(len(XT)):
+            eta_snp_update(stepped, XT, q, offset[q], coef)
+        assert (stepped == swept).all()
 
     def test_nonfinite_logit_reports_snp(self):
-        XT, x2sum, eta_k, u = kernel_inputs()
-        u[:] = np.inf
-        for backend in available_backends():
-            with np.errstate(invalid="ignore"):
-                status = eta_factor_sweep(
-                    XT, x2sum, eta_k.copy(), u, 0.0, 1.0, 1.0, backend=backend
-                )
-            assert status == -1  # SNP 0 is the first to go non-finite
+        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs()
+        U[:] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert eta_factor_sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2) == (0, 0)
+        # in a batch, member 2 overflows first at the first SNP that carries
+        # individual n, while SNP 0 (which does not) and member 1 stay finite
+        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=2)
+        n = int(np.flatnonzero((XT[0] == 0) & (XT[1:] != 0).any(axis=0))[0])
+        U[2, n] = 1e308
+        inv_s2[2] = 4.0  # the offset of every SNP that carries n overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            b, q = eta_factor_sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2)
+        assert (b, q) == (2, int(np.flatnonzero(XT[:, n])[0]))
+        assert q > 0
 
     def test_updates_are_sequential(self):
         # the update for SNP q must see the already-updated values of SNPs
-        # before it: freezing them changes the result
-        XT, x2sum, eta_k, u = kernel_inputs(seed=3)
-        u *= 5.0
-        seq = eta_k.copy()
-        eta_factor_sweep(XT, x2sum, seq, u, 0.2, 0.5, 1.0, backend="python")
-        frozen = eta_k.copy()
-        out = np.empty_like(frozen)
-        for q in range(frozen.size):
-            probe = frozen.copy()  # all-old values, Jacobi style
-            eta_factor_sweep(XT, x2sum, probe, u, 0.2, 0.5, 1.0, backend="python")
-            out[q] = probe[q] if q == 0 else out[q]
-        # only the first coordinate can agree in general
-        assert not np.allclose(seq[1:], _jacobi(XT, x2sum, frozen, u)[1:], atol=1e-12)
-        assert seq[0] == pytest.approx(_jacobi(XT, x2sum, frozen, u)[0], abs=1e-15)
+        # before it: freezing them (Jacobi style) changes the result
+        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(seed=3)
+        frozen = E[0].copy()
+        eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2)
+        jacobi = _jacobi(XT, x2sum, frozen, U[0], prior[0], sa2[0], inv_s2[0])
+        assert not np.allclose(E[0, 1:], jacobi[1:], atol=1e-12)
+        assert E[0, 0] == pytest.approx(jacobi[0], abs=1e-15)
 
 
-def _jacobi(XT, x2sum, eta_k, u, prior=0.2, sa2=0.5, inv_s2=1.0):
-    from scipy.special import expit
-
+def _jacobi(XT, x2sum, eta_k, u, prior, sa2, inv_s2):
     out = np.empty_like(eta_k)
     m_full = eta_k @ XT
     for q in range(eta_k.size):
