@@ -191,9 +191,8 @@ def _sim_options(args) -> dict:
 
 def _fit_options(args, extra=()) -> dict:
     keys = [
-        "genotypes", "traits", "snp_positions", "trait_positions", "alpha", "sigma2",
-        "c", "d", "k_max", "p_thresh", "burn_in", "check_interval", "max_iter",
-        "seed", *extra,
+        "genotypes", "traits", "snp_positions", "trait_positions",
+        *(name for _, name, _, _ in _HYPER_FLAGS), *extra,
     ]
     return {k: getattr(args, k, None) for k in keys}
 

@@ -84,8 +84,8 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
 
 
 class _Workspace:
-    """Constants of one batch of fits: the genotype matrix they share, and
-    their traits and noise variances stacked along the batch axis."""
+    """Constants of one batch of fits: the genotype matrix they share, their
+    traits, and their noise variances stacked along the batch axis."""
 
     def __init__(self, datasets, hps):
         X = datasets[0].X
@@ -95,8 +95,12 @@ class _Workspace:
         self.X = X
         self.XT = np.ascontiguousarray(X.T)
         self.x2sum = (X**2).sum(axis=0)
-        self.Y = np.stack([data.Y for data in datasets])
+        self.Y = [data.Y for data in datasets]
         self.sigma2 = np.array([hp.sigma2 for hp in hps])
+        # scratch for one member's N x P residual: reused for every factor,
+        # so a sweep allocates (and page-faults) no N x P temporaries
+        self.residual = np.empty(self.Y[0].shape)
+        self.term = np.empty(self.Y[0].shape)
 
 
 def _as_batch(state: VariationalState) -> VariationalState:
@@ -123,9 +127,14 @@ def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
     return state.lam[k, 0], state.lam[k, 1]
 
 
-def _factor_residual(Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int) -> np.ndarray:
-    """Expected residual of one member's Y with factor k's contribution excluded."""
-    return Y - M @ phi + M[:, k, None] * phi[k]
+def _factor_residual(ws: _Workspace, Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int):
+    """Expected residual Y - M @ phi + M[:, k] phi[k] of one member, with
+    factor k's contribution excluded.  It lives in the workspace's scratch
+    buffer until the next call."""
+    R = np.matmul(M, phi, out=ws.residual)
+    np.subtract(Y, R, out=R)
+    R += np.multiply(M[:, k, None], phi[k], out=ws.term)
+    return R
 
 
 def _eta_factor_inputs(batch: VariationalState, ws: _Workspace, k: int):
@@ -134,7 +143,7 @@ def _eta_factor_inputs(batch: VariationalState, ws: _Workspace, k: int):
     logit and the summed effect second moment (length B)."""
     M = ws.X @ batch.eta
     U = np.array([
-        _factor_residual(Y, M_b, phi, k) @ phi[k] for Y, M_b, phi in zip(ws.Y, M, batch.phi)
+        _factor_residual(ws, Y, M_b, phi, k) @ phi[k] for Y, M_b, phi in zip(ws.Y, M, batch.phi)
     ])
     prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
     sa2 = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1)
@@ -187,7 +196,7 @@ def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndar
     M_k = M[:, :, k]
     S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + (eta_k * (1.0 - eta_k)) @ ws.x2sum
     MR_k = np.array([
-        M_b[:, k] @ _factor_residual(Y, M_b, phi, k) for Y, M_b, phi in zip(ws.Y, M, batch.phi)
+        M_b[:, k] @ _factor_residual(ws, Y, M_b, phi, k) for Y, M_b, phi in zip(ws.Y, M, batch.phi)
     ])
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / ws.sigma2)[:, None]
