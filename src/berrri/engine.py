@@ -100,7 +100,6 @@ class _Workspace:
         # scratch for one member's N x P residual: reused for every factor,
         # so a sweep allocates (and page-faults) no N x P temporaries
         self.residual = np.empty(self.Y[0].shape)
-        self.term = np.empty(self.Y[0].shape)
 
 
 def _as_batch(state: VariationalState) -> VariationalState:
@@ -128,13 +127,14 @@ def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
 
 
 def _factor_residual(ws: _Workspace, Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int):
-    """Expected residual Y - M @ phi + M[:, k] phi[k] of one member, with
-    factor k's contribution excluded.  It lives in the workspace's scratch
-    buffer until the next call."""
-    R = np.matmul(M, phi, out=ws.residual)
-    np.subtract(Y, R, out=R)
-    R += np.multiply(M[:, k, None], phi[k], out=ws.term)
-    return R
+    """Expected residual Y - M @ phi of one member with factor k's
+    contribution excluded, that is with column k of the loads M zeroed
+    (cheaper than adding the N x P outer product M[:, k] phi[k] back).  It
+    lives in the workspace's scratch buffer until the next call."""
+    M_other = M.copy()
+    M_other[:, k] = 0.0
+    R = np.matmul(M_other, phi, out=ws.residual)
+    return np.subtract(Y, R, out=R)
 
 
 def _eta_factor_inputs(batch: VariationalState, ws: _Workspace, k: int):

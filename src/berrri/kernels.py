@@ -30,16 +30,17 @@ def eta_factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2):
     return offset, coef
 
 
-def eta_snp_update(E, XT, q, offset_q, coef):
+def eta_snp_update(E, XT, q, offset_q, coef, load=None):
     """Update the inclusion probability of SNP q (column q of E) in place.
 
     The expected load of the other SNPs is rebuilt in full with that column
-    zeroed, then the column is set to the sigmoid of the logits, which are
-    returned (a non-finite logit is left for the caller to report).
+    zeroed (into `load`, N or B x N, if given), then the column is set to the
+    sigmoid of the logits, which are returned (a non-finite logit is left for
+    the caller to report).
     """
     column = E.T
     column[q] = 0.0
-    zeta = offset_q - coef * ((E @ XT) @ XT[q])
+    zeta = offset_q - coef * np.dot(np.dot(E, XT, out=load), XT[q])
     column[q] = expit(zeta)
     return zeta
 
@@ -59,10 +60,10 @@ def eta_factor_sweep(XT, x2sum, E, U, prior_logit, sa2, inv_sigma2):
         args = tuple(a[0] for a in args)
     offset, coef = eta_factor_terms(XT, x2sum, *args[1:])
     zeta = np.empty_like(offset)
+    load = np.empty(args[0].shape[:-1] + XT.shape[1:])
     for q in range(len(XT)):
-        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef)
-    bad = ~np.isfinite(zeta.reshape(len(XT), -1).T)
-    if bad.any():
-        b, q = np.argwhere(bad)[0]
-        return int(b), int(q)
-    return None
+        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef, load)
+    if np.isfinite(zeta).all():
+        return None
+    b, q = np.argwhere(~np.isfinite(zeta.reshape(len(XT), -1).T))[0]
+    return int(b), int(q)
