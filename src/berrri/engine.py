@@ -52,6 +52,11 @@ logger = logging.getLogger("berrri")
 
 TRACE_BLOCKS = ("lambda", "eta", "phi", "varphi", "kappa")
 
+# A sweep whose ELBO falls by more than this fraction of the previous value
+# counts as a decrease; smaller drops are floating-point noise.
+ELBO_DECREASE_RTOL = 1e-8
+
+
 def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     """Deterministic data-aware initialization.
 
@@ -396,6 +401,7 @@ class FitReport:
     t_stats: dict
     elbo_trace: tuple
     n_checks: int
+    elbo_decreases: int
 
 
 def fit(data, hp, init_state=None):
@@ -407,7 +413,10 @@ def fit(data, hp, init_state=None):
     states and the list of reports; each member stops at its own converged
     check or its own max_iter.  Deterministic for a given (data, hp, seed):
     identical runs produce identical parameter traces and reports.
-    Non-convergence at max_iter is reported, not raised.
+    Non-convergence at max_iter is reported, not raised.  Every update
+    should raise the ELBO, so each sweep that lowers it by more than
+    ELBO_DECREASE_RTOL of its previous value is logged as a warning and
+    counted in the report's elbo_decreases.
     """
     start = perf_counter()
     batched = not isinstance(data, Dataset)
@@ -435,6 +444,7 @@ def fit(data, hp, init_state=None):
     elbo_traces = [[] for _ in range(B)]
     last_checks = [None] * B
     n_checks = [0] * B
+    decreases = [0] * B
     results = [None] * B
     active = list(range(B))
     stack = VariationalState.stack(states)
@@ -446,7 +456,17 @@ def fit(data, hp, init_state=None):
         staying = []
         for i, b in enumerate(active):
             member = stack.member(i)
-            elbo_traces[b].append(elbo(member, datasets[b], hps[b]))
+            trace = elbo_traces[b]
+            trace.append(elbo(member, datasets[b], hps[b]))
+            if len(trace) > 1 and trace[-2] - trace[-1] > ELBO_DECREASE_RTOL * abs(trace[-2]):
+                decreases[b] += 1
+                logger.warning(
+                    "%siteration %d: elbo fell from %.6f to %.6f",
+                    f"batch member {b}: " if batched else "",
+                    member.iteration,
+                    trace[-2],
+                    trace[-1],
+                )
             monitors[b].record(member)
             converged = False
             if monitors[b].ready():
@@ -456,7 +476,7 @@ def fit(data, hp, init_state=None):
                     "%siteration %d: elbo=%.6f p-values=%s",
                     f"batch member {b}: " if batched else "",
                     member.iteration,
-                    elbo_traces[b][-1],
+                    trace[-1],
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
                 converged = check.converged
@@ -468,13 +488,14 @@ def fit(data, hp, init_state=None):
             results[b] = final, FitReport(
                 converged=converged,
                 iterations=final.iteration,
-                final_elbo=elbo_traces[b][-1],
+                final_elbo=trace[-1],
                 k_effective=final.effective_k(),
                 wall_seconds=perf_counter() - start,
                 p_values=dict(check.p_values) if check else {},
                 t_stats=dict(check.t_stats) if check else {},
-                elbo_trace=tuple(elbo_traces[b]),
+                elbo_trace=tuple(trace),
                 n_checks=n_checks[b],
+                elbo_decreases=decreases[b],
             )
         if len(staying) < len(active):
             active = [active[i] for i in staying]

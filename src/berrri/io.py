@@ -3,18 +3,21 @@
 Interchange format is tab-separated text: one header row of column IDs and one
 leading column of row IDs.  Floats are written with 17 significant digits so a
 write/read round trip is exact.  Every result directory carries a JSON
-manifest with the full configuration, seed, and format version, from which
-the run is reproducible.
+manifest with the full configuration, seed, format version, and the berrri,
+numpy, scipy and Python versions, from which the run is reproducible.
 """
 
 import csv
 import json
 import os
+import platform
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .errors import ValidationError
 from .types import Dataset, GENOTYPE_VALUES
 
@@ -185,6 +188,12 @@ def _prepare_out_dir(out_dir) -> Path:
 def _write_manifest(path, payload: dict):
     payload = dict(payload)
     payload["format_version"] = FORMAT_VERSION
+    payload["versions"] = {
+        "berrri": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+    }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -260,6 +269,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "converged": report.converged,
         "iterations": report.iterations,
         "final_elbo": report.final_elbo,
+        "elbo_decreases": report.elbo_decreases,
         "k_effective": report.k_effective,
         "elbo_trace": list(report.elbo_trace),
         "convergence_p_values": report.p_values,
@@ -268,7 +278,12 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
         "permutation_fits": [
-            {"iterations": r.iterations, "converged": r.converged, "final_elbo": r.final_elbo}
+            {
+                "iterations": r.iterations,
+                "converged": r.converged,
+                "final_elbo": r.final_elbo,
+                "elbo_decreases": r.elbo_decreases,
+            }
             for r in scores.permutation_reports
         ] if scores is not None else None,
         "n_discoveries": int(significant.sum()),

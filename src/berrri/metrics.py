@@ -11,7 +11,7 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import engine
 from .errors import ValidationError
@@ -117,7 +117,7 @@ def confidence_interval(samples: Sequence[float], level: float = 0.95):
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
     mean = float(x.mean())
-    half = float(stats.t.ppf(0.5 + level / 2.0, x.size - 1) * x.std(ddof=1) / np.sqrt(x.size))
+    half = float(stdtrit(x.size - 1, 0.5 + level / 2.0) * x.std(ddof=1) / np.sqrt(x.size))
     return mean - half, mean + half
 
 

@@ -18,7 +18,7 @@ from scipy.special import betaln, digamma, gammaln, xlogy
 from .errors import EngineError, ValidationError
 from .types import Dataset, Hyperparameters, ModelPoint, VariationalState
 
-__all__ = ["log_joint", "elbo", "expected_log_joint", "entropy"]
+__all__ = ["log_joint", "elbo", "expected_log_joint", "expected_residual_ss", "entropy"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -55,15 +55,25 @@ def log_joint(point: ModelPoint, data: Dataset, hp: Hyperparameters) -> float:
     return float(total)
 
 
-def _moments(state: VariationalState, data: Dataset):
-    """Expected reconstruction and second-moment sums shared by ELBO terms."""
-    X, Y = data.X, data.Y
-    M = X @ state.eta                                  # E[X Z], N x K
-    R = Y - M @ state.phi                              # expected residual
-    x2sum = (X**2).sum(axis=0)
-    V = x2sum @ (state.eta * (1.0 - state.eta))        # sum_n Var[(X z_k)_n]
-    S = (M**2).sum(axis=0) + V                         # sum_n E[(X z_k)_n^2]
-    return M, R, V, S
+def expected_residual_ss(state: VariationalState, data: Dataset) -> float:
+    """E_q ||Y - X Z A||_F^2 from K x P and K x K statistics.
+
+    With M = X E[Z] (N x K) the expected residual is
+    ||Y||^2 - 2 <phi, M^T Y> + <M^T M, phi phi^T> plus the variance terms,
+    so no N x P array is formed.
+    """
+    X, Y, eta, phi = data.X, data.Y, state.eta, state.phi
+    M = X @ eta                                        # E[X Z], N x K
+    G = M.T @ M
+    x2sum = np.einsum("nq,nq->q", X, X)
+    V = x2sum @ (eta * (1.0 - eta))                    # sum_n Var[(X z_k)_n]
+    S = np.diag(G) + V                                 # sum_n E[(X z_k)_n^2]
+    rss = (
+        np.einsum("np,np->", Y, Y)
+        - 2.0 * np.einsum("kp,kp->", phi, M.T @ Y)
+        + np.einsum("kl,kl->", G, phi @ phi.T)
+    )
+    return float(rss + S @ state.varphi.sum(axis=1) + V @ (phi**2).sum(axis=1))
 
 
 def expected_log_joint(state: VariationalState, data: Dataset, hp: Hyperparameters) -> float:
@@ -73,8 +83,7 @@ def expected_log_joint(state: VariationalState, data: Dataset, hp: Hyperparamete
     sigma2 = hp.sigma2
     a0 = hp.alpha / K
 
-    _, R, V, S = _moments(state, data)
-    sq = (R**2).sum() + float(S @ state.varphi.sum(axis=1) + V @ (state.phi**2).sum(axis=1))
+    sq = expected_residual_ss(state, data)
     e_lik = -0.5 * N * P * (LOG_2PI + math.log(sigma2)) - sq / (2.0 * sigma2)
 
     e_log_pi = digamma(state.lam[:, 0]) - digamma(state.lam.sum(axis=1))

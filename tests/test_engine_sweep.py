@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+import berrri.engine
 from berrri import (
     Dataset,
     EngineError,
@@ -231,3 +234,24 @@ class TestFit:
         assert len(report.elbo_trace) == report.iterations
         assert report.final_elbo == report.elbo_trace[-1]
         assert report.k_effective == state.effective_k()
+
+    def test_monotone_fit_reports_no_elbo_decrease(self, caplog):
+        data, _ = simulate(SimConfig(n_individuals=30, n_snps=10, n_traits=5, k_true=2, seed=6))
+        hp = Hyperparameters(k_max=4, seed=6, burn_in=20, check_interval=20, max_iter=100)
+        with caplog.at_level(logging.WARNING, logger="berrri"):
+            _, report = fit(data, hp)
+        assert report.elbo_decreases == 0
+        assert "elbo fell" not in caplog.text
+
+    def test_elbo_decreases_counted_and_logged(self, monkeypatch, caplog):
+        # drops of 1e-6 and 1 relative count; a 1e-9 relative dip, ties and rises do not
+        values = [-100.0, -99.0, -99.0001, -99.0001, -99.0001001, -98.0, -196.0, -195.0]
+        calls = iter(values)
+        monkeypatch.setattr(berrri.engine, "elbo", lambda state, data, hp: next(calls))
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=1))
+        hp = Hyperparameters(k_max=2, burn_in=5, check_interval=100, max_iter=len(values))
+        with caplog.at_level(logging.WARNING, logger="berrri"):
+            _, report = fit(data, hp)
+        assert report.elbo_trace == tuple(values)
+        assert report.elbo_decreases == 2
+        assert caplog.text.count("elbo fell") == 2

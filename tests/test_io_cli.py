@@ -1,8 +1,12 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
+
+import berrri
 
 from berrri import Hyperparameters, SimConfig, fit, simulate, vmap
 from berrri import io
@@ -107,6 +111,13 @@ class TestSaveResults:
         manifest = io.load_manifest(paths["manifest"])
         assert manifest["format_version"] == io.FORMAT_VERSION
         assert manifest["iterations"] == report.iterations
+        assert manifest["elbo_decreases"] == report.elbo_decreases == 0
+        assert manifest["versions"] == {
+            "berrri": berrri.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "scipy": scipy.__version__,
+        }
         flagged = sum(
             int(line.split("\t")[4])
             for line in paths["vmap"].read_text().splitlines()[1:]
@@ -249,8 +260,9 @@ class TestCli:
         perms = manifest["permutation_fits"]
         assert len(perms) == 2
         for entry in perms:
-            assert set(entry) == {"iterations", "converged", "final_elbo"}
+            assert set(entry) == {"iterations", "converged", "final_elbo", "elbo_decreases"}
             assert 0 < entry["iterations"] <= 40 and isinstance(entry["converged"], bool)
+            assert entry["elbo_decreases"] == 0
         # the real fit inside fdr is the fit `berrri fit` runs, byte for byte
         assert run(["fit", "--out-dir", str(tmp_path / "fit"), *flags]) == 0
         for name in ("vmap_matrix.tsv", "factors.tsv", "loadings.tsv"):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +125,29 @@ class TestConfidenceInterval:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError, match="2 samples"):
             confidence_interval([1.0])
+
+    @pytest.mark.parametrize("n", [2, 30])
+    @pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
+    def test_half_width_is_student_t_quantile(self, n, level):
+        from scipy import stats
+
+        x = np.random.default_rng(n).normal(size=n)
+        lo, hi = confidence_interval(x, level=level)
+        half = stats.t.ppf(0.5 + level / 2.0, n - 1) * x.std(ddof=1) / np.sqrt(n)
+        assert (hi - lo) / 2.0 == pytest.approx(half, rel=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the package needs none of it
+    import berrri
+
+    src = str(Path(berrri.__file__).resolve().parents[1])
+    code = "import sys, berrri; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestTiming:

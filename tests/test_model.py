@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from berrri import Dataset, Hyperparameters, ValidationError, elbo, fit, log_joint
-from berrri.model import entropy, expected_log_joint
+from berrri.model import entropy, expected_log_joint, expected_residual_ss
 from berrri.types import ModelPoint
 
 from conftest import micro_instance, random_state
@@ -69,10 +70,63 @@ class TestLogJoint:
             log_joint(small_point(q=3), data, Hyperparameters())
 
 
+def high_signal_instance(n=3, q=2, p=2, k=2, seed=0):
+    """Traits that the state's posterior mean nearly reproduces: ||Y||^2 is
+    over a thousand times the residual, so a data term computed as
+    ||Y||^2 - 2 <phi, M^T Y> + <M^T M, phi phi^T> cancels heavily."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n, q)).astype(float)
+    X[0] = 1.0  # every SNP carries an allele, so every factor loads
+    state = random_state(q, p, k, seed)
+    state.eta = np.where(rng.random((q, k)) < 0.5, 1e-3, 1.0 - 1e-3)
+    state.phi = rng.normal(scale=20.0, size=(k, p))
+    state.varphi = np.full((k, p), 1e-4)
+    Y = X @ state.eta @ state.phi + rng.normal(scale=0.1, size=(n, p))
+    hp = Hyperparameters(k_max=k, c=0.7, d=1.3, sigma2=0.8, alpha=1.5)
+    return Dataset(X=X, Y=Y), hp, state
+
+
+def direct_residual_ss(state, data):
+    """E_q ||Y - X Z A||^2 summed from the explicit N x P residual."""
+    M = data.X @ state.eta
+    V = (data.X**2).sum(axis=0) @ (state.eta * (1.0 - state.eta))
+    S = (M**2).sum(axis=0) + V
+    R = data.Y - M @ state.phi
+    return (R**2).sum() + S @ state.varphi.sum(axis=1) + V @ (state.phi**2).sum(axis=1)
+
+
 class TestElbo:
     def test_matches_enumeration_oracle(self):
-        data, hp, state = micro_instance(n=3, q=2, p=2, k=2, seed=2)
-        assert elbo(state, data, hp) == pytest.approx(elbo_enum(state, data, hp), rel=1e-7)
+        for data, hp, state in (
+            micro_instance(n=3, q=2, p=2, k=2, seed=2),
+            high_signal_instance(seed=4),
+        ):
+            assert elbo(state, data, hp) == pytest.approx(elbo_enum(state, data, hp), rel=1e-7)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_data_term_survives_cancellation(self, seed):
+        data, _, state = high_signal_instance(n=40, q=6, p=5, k=3, seed=seed)
+        M = data.X @ state.eta
+        rss = ((data.Y - M @ state.phi) ** 2).sum()
+        assert (data.Y**2).sum() >= 1e3 * rss
+        assert expected_residual_ss(state, data) == pytest.approx(direct_residual_ss(state, data), rel=1e-9)
+
+    def test_forms_no_n_by_p_array(self):
+        n = p = 400
+        q, k = 40, 8
+        rng = np.random.default_rng(0)
+        data = Dataset(X=rng.integers(0, 3, size=(n, q)).astype(float), Y=rng.normal(size=(n, p)))
+        hp = Hyperparameters(k_max=k)
+        state = random_state(q, p, k)
+        elbo(state, data, hp)  # warm-up, so one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            elbo(state, data, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an explicit residual Y - M @ phi alone would take one whole N x P array
+        assert peak < n * p * 8 / 4
 
     def test_decomposition_is_additive(self):
         data, hp, state = micro_instance(seed=5)
