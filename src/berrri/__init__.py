@@ -27,7 +27,7 @@ from .engine import (
     sweep,
 )
 from .errors import BerrriError, EngineError, ValidationError
-from .metrics import PRCurve, confidence_interval, precision_recall, rss, timing_ladder
+from .metrics import PRCurve, confidence_interval, precision_recall, rss
 from .model import elbo, log_joint
 from .simulate import SimConfig, simulate, synthetic_genotypes
 from .types import (
@@ -69,7 +69,6 @@ __all__ = [
     "simulate",
     "sweep",
     "synthetic_genotypes",
-    "timing_ladder",
     "univariate_bf",
     "vmap",
     "vmap_signed",

@@ -31,6 +31,11 @@ __all__ = [
 logger = logging.getLogger("berrri")
 
 
+def _check_fdr_target(fdr_target: float):
+    if not 0.0 < fdr_target < 1.0:
+        raise ValidationError(f"fdr_target must lie in (0, 1), got {fdr_target}")
+
+
 @dataclass(frozen=True)
 class AssociationScores:
     """Q x P association scores plus permutation-FDR calibration metadata.
@@ -53,8 +58,7 @@ class AssociationScores:
             raise ValidationError(
                 f"score shapes differ: {self.vmap.shape} vs {self.signed.shape}"
             )
-        if not 0.0 < self.fdr_target < 1.0:
-            raise ValidationError(f"fdr_target must lie in (0, 1), got {self.fdr_target}")
+        _check_fdr_target(self.fdr_target)
 
     def discoveries(self) -> np.ndarray:
         """Boolean Q x P matrix: scores at or above the threshold."""
@@ -108,8 +112,7 @@ def fdr_threshold(
     null = np.sort(np.asarray(null_scores, dtype=np.float64).ravel())
     if real.size == 0 or null.size == 0:
         raise ValidationError("both real and null score sets must be non-empty")
-    if not 0.0 < fdr_target < 1.0:
-        raise ValidationError(f"fdr_target must lie in (0, 1), got {fdr_target}")
+    _check_fdr_target(fdr_target)
     n_real = real.size if n_real_tests is None else n_real_tests
     n_null = null.size if n_null_tests is None else n_null_tests
     scale = n_real / n_null
@@ -149,6 +152,7 @@ def run_permutation_fdr(
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
+    _check_fdr_target(fdr_target)
     state, report = fit(data, hp)
     signed = vmap_signed(state)
     scores = np.abs(signed)

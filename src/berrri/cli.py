@@ -1,4 +1,4 @@
-"""Command-line surface: simulate, fit, fdr, eval, bench.
+"""Command-line surface: simulate, fit, fdr, eval.
 
 All configuration is flag-only except the output directory, which falls back
 to the BERRRI_OUTPUT_DIR environment variable.  Errors exit nonzero with a
@@ -143,25 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute a labelled residual sum of squares between two trait TSVs",
     )
 
-    bench = sub.add_parser("bench", help="wall-clock timing ladder over SNP counts")
-    _add_out_dir(bench)
-    bench.add_argument("--q-ladder", default="50,100,200", help="comma-separated SNP counts")
-    bench.add_argument("--individuals", type=int, default=100, dest="n_individuals")
-    bench.add_argument("--traits", type=int, default=25, dest="n_traits")
-    bench.add_argument("--k-max", type=int, default=10)
-    bench.add_argument("--repetitions", type=int, default=1)
-    bench.add_argument("--max-iter", type=int, default=120)
-    bench.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _require_out_dir(args) -> str:
+    """The output directory, created and probed for writing before any work."""
     if not args.out_dir:
         raise ValidationError("no output directory: pass --out-dir or set BERRRI_OUTPUT_DIR")
+    io._prepare_out_dir(args.out_dir)
     return args.out_dir
 
 
 def _cmd_simulate(args) -> int:
+    out_dir = _require_out_dir(args)
     cfg = SimConfig(
         n_individuals=args.n_individuals,
         n_snps=args.n_snps,
@@ -175,7 +169,7 @@ def _cmd_simulate(args) -> int:
         genotypes=io.load_matrix(args.genotypes, "genotype").values if args.genotypes else None,
     )
     data, truth = simulate(cfg)
-    run_cfg = RunConfig("simulate", _require_out_dir(args), _sim_options(args))
+    run_cfg = RunConfig("simulate", out_dir, _sim_options(args))
     paths = io.save_simulation(run_cfg.out_dir, data, truth, config=run_cfg.to_dict())
     logger.info("simulated %d x %d genotypes, %d traits -> %s", data.n_individuals, data.n_snps, data.n_traits, paths["manifest"])
     return 0
@@ -237,12 +231,12 @@ def _cmd_fdr(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    out_dir = _require_out_dir(args)
     if args.scores is None and not args.rss:
         raise ValidationError("eval needs --scores/--mask and/or --rss entries")
     if (args.scores is None) != (args.mask is None):
         raise ValidationError("--scores and --mask must be given together")
-    out = io._prepare_out_dir(out_dir)
+    out_dir = _require_out_dir(args)
+    out = Path(out_dir)
     results = {}
 
     if args.scores is not None:
@@ -278,56 +272,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    out_dir = _require_out_dir(args)
-    try:
-        ladder = [int(tok) for tok in args.q_ladder.split(",") if tok.strip()]
-    except ValueError:
-        raise ValidationError(f"--q-ladder must be comma-separated integers, got {args.q_ladder!r}") from None
-    if not ladder:
-        raise ValidationError("--q-ladder is empty")
-    hp = Hyperparameters(
-        k_max=args.k_max,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        burn_in=min(100, args.max_iter - 1),
-    )
-    out = io._prepare_out_dir(out_dir)
-    rows = metrics.timing_ladder(
-        ladder,
-        hp,
-        repetitions=args.repetitions,
-        n_individuals=args.n_individuals,
-        n_traits=args.n_traits,
-    )
-    bench_path = out / "bench.tsv"
-    with open(bench_path, "w") as fh:
-        fh.write("n_snps\tmean_fit_seconds\tsd_fit_seconds\tper_sweep_seconds\n")
-        for row in rows:
-            fh.write(
-                f"{row.n_snps}\t{io.fmt(row.mean_seconds)}\t"
-                f"{io.fmt(row.sd_seconds)}\t{io.fmt(row.per_sweep_seconds)}\n"
-            )
-            logger.info(
-                "bench Q=%d fit=%.3fs/run sweep=%.2fms",
-                row.n_snps, row.mean_seconds, 1e3 * row.per_sweep_seconds,
-            )
-    run_cfg = RunConfig("bench", out_dir, {
-        "q_ladder": ladder, "n_individuals": args.n_individuals, "n_traits": args.n_traits,
-        "k_max": args.k_max, "repetitions": args.repetitions, "max_iter": args.max_iter,
-        "seed": args.seed,
-    })
-    io._write_manifest(out / "manifest.json", {"config": run_cfg.to_dict()})
-    logger.info("bench table -> %s", bench_path)
-    return 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "fit": _cmd_fit,
     "fdr": _cmd_fdr,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
 }
 
 

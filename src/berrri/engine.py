@@ -21,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import digamma, erfc
@@ -74,17 +74,14 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     eta = rng.uniform(0.25, 0.75, size=(Q, K))
     phi = np.zeros((K, P))
     varphi = np.ones((K, P))
-    kappa = np.empty((K, P, 2))
-    kappa[..., 0] = hp.c + 0.5
-    kappa[..., 1] = hp.d + 0.5
-    state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=kappa)
+    state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
+    _kappa_block_update(state, hp)
     ws = _Workspace([data], [hp])
     batch = _as_batch(state)
     M = ws.X @ batch.eta
     for k in range(K):
         _A_factor_update(batch, ws, k, M)
-    state.kappa[..., 0] = hp.c + 0.5
-    state.kappa[..., 1] = hp.d + (state.varphi + state.phi**2) / 2.0
+    _kappa_block_update(state, hp)
     return state
 
 
@@ -162,36 +159,30 @@ def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
     )
 
 
-def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int, snps=None, on_update=None):
-    """Inclusion updates of factor k for every member of the batch.
-
-    The whole factor runs in the kernel unless single SNPs are asked for or
-    each update is reported; then the kernel's per-SNP step runs SNP by SNP.
-    A non-finite logit raises before that SNP (or, in the kernel, before any
-    SNP of the factor) is written.
-    """
+def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int):
+    """Inclusion updates of factor k for every member of the batch, in the
+    kernel.  A non-finite logit raises before any SNP of the factor is
+    written."""
     U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
     E = np.ascontiguousarray(batch.eta[:, :, k])
-    if snps is None and on_update is None:
-        bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / ws.sigma2)
-        if bad is not None:
-            raise _nonfinite_logit(k, bad[1], bad[0], len(E))
-        batch.eta[:, :, k] = E
-        return
-    offset, coef = kernels.eta_factor_terms(ws.XT, ws.x2sum, U, prior_logit, sa2, 1.0 / ws.sigma2)
-    for q in range(len(ws.XT)) if snps is None else snps:
-        zeta = kernels.eta_snp_update(E, ws.XT, q, offset[q], coef)
-        bad = np.flatnonzero(~np.isfinite(zeta))
-        if bad.size:
-            raise _nonfinite_logit(k, q, int(bad[0]), len(E))
-        batch.eta[:, q, k] = E[:, q]
-        if on_update is not None:
-            on_update("eta", k, q)
+    bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / ws.sigma2)
+    if bad is not None:
+        raise _nonfinite_logit(k, bad[1], bad[0], len(E))
+    batch.eta[:, :, k] = E
 
 
 def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int, q: int):
-    """Exact mean-field update of one inclusion probability."""
-    _eta_factor_update(_as_batch(state), _Workspace([data], [hp]), k, snps=[q])
+    """Exact mean-field update of one inclusion probability: the kernel's
+    per-SNP step.  A non-finite logit raises before the SNP is written."""
+    ws = _Workspace([data], [hp])
+    U, prior_logit, sa2 = _eta_factor_inputs(_as_batch(state), ws, k)
+    offset, coef = kernels.eta_factor_terms(
+        ws.XT, ws.x2sum, U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
+    )
+    E = state.eta[:, k].copy()
+    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[q], coef)):
+        raise _nonfinite_logit(k, q, 0, 1)
+    state.eta[q, k] = E[q]
     return state.eta[q, k]
 
 
@@ -222,6 +213,12 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     return state.phi[k].copy(), state.varphi[k].copy()
 
 
+def _kappa_block_update(state: VariationalState, hp: Hyperparameters):
+    """Exact inverse-gamma update of every ARD variance of one fit."""
+    state.kappa[..., 0] = hp.c + 0.5
+    state.kappa[..., 1] = hp.d + (state.varphi + state.phi**2) / 2.0
+
+
 def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
     """Exact inverse-gamma update of one ARD variance."""
     state.kappa[k, p, 0] = hp.c + 0.5
@@ -235,17 +232,19 @@ def sweep(
     hp,
     *,
     order=None,
-    on_update: Optional[Callable[[str, int, Optional[int]], None]] = None,
     workspace: Optional[_Workspace] = None,
 ) -> VariationalState:
     """One full coordinate pass in block order lambda, eta, A, kappa.
 
     `state` is one fit's state with its Dataset and Hyperparameters, or a
     batch (`VariationalState.stack`) with one Dataset and one Hyperparameters
-    per member, all datasets sharing X.  `order` overrides the factor
-    processing sequence (default ascending); `on_update` is called after
-    every individual block update (of all members at once), which runs the
-    inclusion block SNP by SNP.
+    per member, all datasets sharing X.  Lambda runs per member, the
+    inclusion kernel and the effect-size update per factor for the whole
+    batch, and the ARD block as one update per member.  `order` overrides
+    the factor processing sequence (default ascending).  The result equals,
+    to round-off, the public updates composed in the same order
+    (`update_lambda`, `update_eta` per SNP, `update_A`, `update_kappa` per
+    entry).
     """
     batched = state.eta.ndim == 3
     batch = state if batched else _as_batch(state)
@@ -258,7 +257,7 @@ def sweep(
             f"got {len(datasets)} and {len(hps)}"
         )
     ws = workspace if workspace is not None else _Workspace(datasets, hps)
-    K, P = state.k_max, state.n_traits
+    K = state.k_max
     factor_order = range(K) if order is None else [int(k) for k in order]
     if order is not None and sorted(factor_order) != list(range(K)):
         raise ValidationError(f"order must be a permutation of 0..{K - 1}")
@@ -266,28 +265,16 @@ def sweep(
     for k in factor_order:
         for m, h in zip(members, hps):
             update_lambda(m, h, k)
-        if on_update is not None:
-            on_update("lambda", k, None)
 
     for k in factor_order:
-        _eta_factor_update(batch, ws, k, on_update=on_update)
+        _eta_factor_update(batch, ws, k)
 
     M = ws.X @ batch.eta
     for k in factor_order:
         _A_factor_update(batch, ws, k, M)
-        if on_update is not None:
-            on_update("A", k, None)
 
-    if on_update is None:
-        for m, h in zip(members, hps):
-            m.kappa[..., 0] = h.c + 0.5
-            m.kappa[..., 1] = h.d + (m.varphi + m.phi**2) / 2.0
-    else:
-        for k in factor_order:
-            for p in range(P):
-                for m, h in zip(members, hps):
-                    update_kappa(m, h, k, p)
-                on_update("kappa", k, p)
+    for m, h in zip(members, hps):
+        _kappa_block_update(m, h)
 
     state.iteration += 1
     return state

@@ -150,6 +150,13 @@ def load_dataset(
             f"genotype file has {len(gen.row_ids)} individuals but trait file has "
             f"{len(tr.row_ids)}; the row counts must match"
         )
+    if gen.row_ids != tr.row_ids:
+        i = next(i for i, (g, t) in enumerate(zip(gen.row_ids, tr.row_ids)) if g != t)
+        raise ValidationError(
+            f"individuals differ at data line {i + 2}: genotype file {genotype_path} has "
+            f"{gen.row_ids[i]!r}, trait file {trait_path} has {tr.row_ids[i]!r}; both files "
+            f"must list the same individuals in the same order"
+        )
     snp_pos = trait_pos = None
     if snp_positions_path is not None:
         table = load_positions(snp_positions_path)

@@ -1,5 +1,5 @@
 """Evaluation harness: reconstruction error, precision/recall against the
-planted mask, confidence intervals, and wall-clock timing ladders.
+planted mask, confidence intervals, and the per-sweep wall-clock time.
 
 The precision/recall machinery is method-agnostic: any Q x P score matrix can
 be evaluated against a binary truth mask, including score files produced by
@@ -15,7 +15,6 @@ from scipy.special import stdtrit
 
 from . import engine
 from .errors import ValidationError
-from .simulate import SimConfig, simulate
 from .types import Dataset, Hyperparameters
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "rss",
     "precision_recall",
     "confidence_interval",
-    "TimingRow",
-    "timing_ladder",
     "per_sweep_seconds",
 ]
 
@@ -121,14 +118,6 @@ def confidence_interval(samples: Sequence[float], level: float = 0.95):
     return mean - half, mean + half
 
 
-@dataclass(frozen=True)
-class TimingRow:
-    n_snps: int
-    mean_seconds: float
-    sd_seconds: float
-    per_sweep_seconds: float
-
-
 def per_sweep_seconds(
     data: Dataset,
     hp: Hyperparameters,
@@ -144,50 +133,3 @@ def per_sweep_seconds(
     for _ in range(n_sweeps):
         engine.sweep(state, data, hp, workspace=ws)
     return (perf_counter() - start) / n_sweeps
-
-
-def timing_ladder(
-    q_ladder: Sequence[int],
-    hp: Hyperparameters,
-    repetitions: int = 3,
-    *,
-    n_individuals: int = 100,
-    n_traits: int = 25,
-    k_true: int = 5,
-    sim_seed: int = 0,
-):
-    """Wall-clock seconds per full fit at increasing SNP counts.
-
-    Returns one TimingRow per ladder entry; with a single repetition the sd is
-    reported as 0.  Runs are strictly serial to avoid contention skew.
-    """
-    if len(q_ladder) == 0:
-        raise ValidationError("q_ladder must be non-empty")
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-    rows = []
-    for q in q_ladder:
-        cfg = SimConfig(
-            n_individuals=n_individuals,
-            n_snps=int(q),
-            n_traits=n_traits,
-            k_true=min(k_true, int(q)),
-            seed=sim_seed,
-        )
-        data, _ = simulate(cfg)
-        times = []
-        for _ in range(repetitions):
-            start = perf_counter()
-            engine.fit(data, hp)
-            times.append(perf_counter() - start)
-        times = np.asarray(times)
-        sd = float(times.std(ddof=1)) if times.size > 1 else 0.0
-        rows.append(
-            TimingRow(
-                n_snps=int(q),
-                mean_seconds=float(times.mean()),
-                sd_seconds=sd,
-                per_sweep_seconds=per_sweep_seconds(data, hp),
-            )
-        )
-    return rows

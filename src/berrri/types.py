@@ -211,10 +211,6 @@ class VariationalState:
             *(getattr(self, name)[b] for name in _STATE_ARRAYS), iteration=self.iteration
         )
 
-    def covariance(self, k: int) -> np.ndarray:
-        """Materialize the (diagonal) posterior covariance of row A[k, :]."""
-        return np.diag(self.varphi[k])
-
     def effective_k(self, threshold: float = 0.5) -> int:
         """Number of factors with at least one SNP inclusion above threshold."""
         return int((self.eta.max(axis=0) > threshold).sum())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from berrri import Dataset, Hyperparameters, VariationalState
+from berrri.engine import update_A, update_eta, update_kappa, update_lambda
 
 
 def random_dataset(n=4, q=3, p=4, seed=0):
@@ -29,6 +30,27 @@ def micro_instance(n=4, q=3, p=4, k=2, seed=0, **hp_kwargs):
     hp = Hyperparameters(**defaults)
     state = random_state(q, p, k, seed)
     return data, hp, state
+
+
+def compose_public_updates(state, data, hp, after=lambda: None):
+    """One sweep as the public updates, one entry at a time in sweep order:
+    lambda per factor, eta per factor and SNP, A per factor, kappa per
+    factor and trait.  `after` is called after every update."""
+    K, Q, P = state.k_max, state.n_snps, state.n_traits
+    for k in range(K):
+        update_lambda(state, hp, k)
+        after()
+    for k in range(K):
+        for q in range(Q):
+            update_eta(state, data, hp, k, q)
+            after()
+    for k in range(K):
+        update_A(state, data, hp, k)
+        after()
+    for k in range(K):
+        for p in range(P):
+            update_kappa(state, hp, k, p)
+            after()
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from berrri.engine import update_A, update_eta, update_kappa, update_lambda
 from berrri.metrics import per_sweep_seconds
 from berrri.streams import child_rng
 
-from conftest import micro_instance
+from conftest import compose_public_updates, micro_instance
 from oracles import effect_row_oracle, kappa_conjugate_oracle, lambda_conjugate_oracle
 
 REFERENCE_RSS_Q100_K5 = 1095.64  # reference flagship residual scale for the gate
@@ -58,23 +58,27 @@ def test_criterion_1_elbo_monotonicity():
         )
         hp = Hyperparameters(k_max=8, seed=seed)
         state = initial_state(data, hp)
-        current = [elbo(state, data, hp)]
+        current = elbo(state, data, hp)
 
-        def on_update(block, k, index):
+        def check():
+            nonlocal current, worst, violations
             new = elbo(state, data, hp)
-            drop = current[0] - new
-            nonlocal worst, violations
+            drop = current - new
             worst = max(worst, drop)
-            if drop > 1e-8 * abs(current[0]):
+            if drop > 1e-8 * abs(current):
                 violations += 1
-            current[0] = new
+            current = new
 
         # 40 sweeps cover the active dynamics at this scale; afterwards the
-        # state sits at its fixed point and updates are no-ops
+        # state sits at its fixed point and updates are no-ops.  Each sweep
+        # runs once as plain `sweep`, checked as a whole, and once as the
+        # public updates in sweep order, checked after every update; the
+        # latter carries the state forward
         for _ in range(40):
-            before = current[0]
-            sweep(state, data, hp, on_update=on_update)
-            assert current[0] >= before - 1e-8 * abs(before)
+            before = current
+            swept = sweep(state.copy(), data, hp)
+            assert elbo(swept, data, hp) >= before - 1e-8 * abs(before)
+            compose_public_updates(state, data, hp, after=check)
     elapsed = time.perf_counter() - start
     passed = violations == 0 and elapsed < 120
     report(1, passed, f"0 required; {violations} violations, worst drop {worst:.3e}, {elapsed:.0f}s")

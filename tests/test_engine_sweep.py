@@ -17,11 +17,10 @@ from berrri import (
     simulate,
     sweep,
 )
-from berrri.engine import update_A, update_eta, update_kappa, update_lambda
 from berrri.metrics import rss
 from berrri.types import VariationalState
 
-from conftest import micro_instance
+from conftest import compose_public_updates, micro_instance
 
 
 def permute_factors(state, perm):
@@ -38,25 +37,27 @@ def permute_factors(state, perm):
 class TestSweep:
     def test_matches_composition_of_public_updates(self):
         data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=31)
+        # a batch whose members differ in traits and noise variance
+        batch_data, batch_hp, first = micro_instance(n=6, q=5, p=4, k=3, seed=50)
+        _, _, second = micro_instance(n=6, q=5, p=4, k=3, seed=51)
+        datasets = [batch_data, permute_labels(batch_data, 1)]
+        hps = [batch_hp, batch_hp.with_(sigma2=1.3)]
+        batch = VariationalState.stack([first, second])
+        sweep(batch, datasets, hps)
         via_sweep = state.copy()
         sweep(via_sweep, data, hp)
-        manual = state.copy()
-        K, Q, P = manual.k_max, manual.n_snps, manual.n_traits
-        for k in range(K):
-            update_lambda(manual, hp, k)
-        for k in range(K):
-            for q in range(Q):
-                update_eta(manual, data, hp, k, q)
-        for k in range(K):
-            update_A(manual, data, hp, k)
-        for k in range(K):
-            for p in range(P):
-                update_kappa(manual, hp, k, p)
-        assert np.allclose(via_sweep.lam, manual.lam, rtol=1e-12, atol=1e-14)
-        assert np.allclose(via_sweep.eta, manual.eta, rtol=1e-10, atol=1e-14)
-        assert np.allclose(via_sweep.phi, manual.phi, rtol=1e-10, atol=1e-14)
-        assert np.allclose(via_sweep.varphi, manual.varphi, rtol=1e-10, atol=1e-14)
-        assert np.allclose(via_sweep.kappa, manual.kappa, rtol=1e-10, atol=1e-14)
+        cases = [(via_sweep, state, data, hp)] + [
+            (batch.member(b), start, d, h)
+            for b, (start, d, h) in enumerate(zip([first, second], datasets, hps))
+        ]
+        for swept, start, d, h in cases:
+            manual = start.copy()
+            compose_public_updates(manual, d, h)
+            assert np.allclose(swept.lam, manual.lam, rtol=1e-12, atol=1e-14)
+            assert np.allclose(swept.eta, manual.eta, rtol=1e-10, atol=1e-14)
+            assert np.allclose(swept.phi, manual.phi, rtol=1e-10, atol=1e-14)
+            assert np.allclose(swept.varphi, manual.varphi, rtol=1e-10, atol=1e-14)
+            assert np.allclose(swept.kappa, manual.kappa, rtol=1e-10, atol=1e-14)
 
     def test_elbo_increases_on_first_sweep_from_random_init(self):
         cfg = SimConfig(n_individuals=40, n_snps=12, n_traits=6, k_true=2, seed=5)
@@ -109,21 +110,6 @@ class TestSweep:
         for _ in range(5):
             sweep(state, data, hp)
             state.validate()
-
-    def test_python_path_matches_kernel_path(self):
-        data, hp, state = micro_instance(n=6, q=5, p=4, k=3, seed=50)
-        _, _, other = micro_instance(n=6, q=5, p=4, k=3, seed=51)
-        shuffled = permute_labels(data, 1)
-        for st, d, h in (
-            (state, data, hp),
-            (VariationalState.stack([state, other]), [data, shuffled], [hp, hp.with_(sigma2=1.3)]),
-        ):
-            a = st.copy()
-            sweep(a, d, h)
-            b = st.copy()
-            sweep(b, d, h, on_update=lambda *args: None)
-            for name in ("lam", "eta", "phi", "varphi", "kappa"):
-                assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=1e-13)
 
     def test_nonfinite_logit_in_one_member_raises_before_writing(self):
         data, hp, state = micro_instance(n=6, q=5, p=4, k=3, seed=52)

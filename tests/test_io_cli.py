@@ -19,6 +19,10 @@ def write_matrix(path, values, row_ids=None, col_ids=None):
     return path
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("fit ran before the arguments were checked")
+
+
 class TestLoadMatrix:
     def test_well_formed_roundtrip_ids(self, tmp_path):
         path = write_matrix(tmp_path / "m.tsv", [[0, 1], [2, 0]], ["a", "b"], ["s1", "s2"])
@@ -61,6 +65,15 @@ class TestLoadDataset:
         gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t"])
         with pytest.raises(ValidationError, match="2 individuals.*1"):
             io.load_dataset(gx, gy)
+
+    def test_individual_mismatch_names_line_and_both_ids(self, tmp_path):
+        gx = write_matrix(tmp_path / "x.tsv", [[0], [1], [2]], ["ind0", "ind1", "ind2"], ["s"])
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0], [2.0], [3.0]], ["ind2", "ind0", "ind1"], ["t"])
+        with pytest.raises(ValidationError, match=r"line 2: .*'ind0'.*'ind2'"):
+            io.load_dataset(gx, gy)
+        gz = write_matrix(tmp_path / "z.tsv", [[1.0], [2.0], [3.0]], ["ind0", "ind1", "x"], ["t"])
+        with pytest.raises(ValidationError, match=r"line 4: .*'ind2'.*'x'"):
+            io.load_dataset(gx, gz)
 
     def test_positions_attached(self, tmp_path):
         gx = write_matrix(tmp_path / "x.tsv", [[0, 1]], ["a"], ["s1", "s2"])
@@ -220,6 +233,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2 individuals" in err and "1" in err
 
+    def test_bad_fdr_target_fails_before_fitting(self, tmp_path, monkeypatch, capsys):
+        sim = self._simulate(tmp_path)
+        monkeypatch.setattr(berrri.associate, "fit", _no_fit)
+        status = run([
+            "fdr", "--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv"),
+            "--out-dir", str(tmp_path / "fdr"), "--fdr-target", "1.5",
+        ])
+        assert status == 1
+        assert "fdr_target must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_unwritable_out_dir_fails_before_fitting(self, tmp_path, monkeypatch, capsys):
+        sim = self._simulate(tmp_path)
+        monkeypatch.setattr(berrri.associate, "fit", _no_fit)
+        monkeypatch.setattr(berrri.cli, "fit", _no_fit)
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        inputs = ["--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv")]
+        for command in ("fit", "fdr"):
+            status = run([command, *inputs, "--out-dir", str(tmp_path / "blocker" / "out")])
+            assert status == 1
+            assert "is not writable" in capsys.readouterr().err
+
     def test_env_var_supplies_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BERRRI_OUTPUT_DIR", str(tmp_path / "envsim"))
         assert run([
@@ -288,15 +322,3 @@ class TestCli:
         manifest = io.load_manifest(tmp_path / "fit" / "manifest.json")
         assert manifest["converged"]
         assert manifest["iterations"] < Hyperparameters().max_iter
-
-    def test_bench_writes_timing_table(self, tmp_path):
-        out = tmp_path / "bench"
-        assert run([
-            "bench", "--out-dir", str(out), "--q-ladder", "6,8", "--individuals", "15",
-            "--traits", "3", "--k-max", "2", "--max-iter", "10",
-        ]) == 0
-        lines = (out / "bench.tsv").read_text().splitlines()
-        assert lines[0].split("\t") == [
-            "n_snps", "mean_fit_seconds", "sd_fit_seconds", "per_sweep_seconds",
-        ]
-        assert [int(line.split("\t")[0]) for line in lines[1:]] == [6, 8]

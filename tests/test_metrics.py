@@ -15,7 +15,6 @@ from berrri import (
     confidence_interval,
     precision_recall,
     rss,
-    timing_ladder,
 )
 from berrri.metrics import PRCurve, per_sweep_seconds
 from berrri.simulate import SimConfig, simulate
@@ -151,21 +150,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 class TestTiming:
-    def test_ladder_shape_and_single_rep_sd(self):
-        hp = Hyperparameters(k_max=3, burn_in=5, check_interval=10, max_iter=12)
-        rows = timing_ladder([8, 12], hp, repetitions=1, n_individuals=20, n_traits=4)
-        assert [r.n_snps for r in rows] == [8, 12]
-        assert all(r.sd_seconds == 0.0 for r in rows)
-        assert all(r.mean_seconds > 0 for r in rows)
-
     def test_per_sweep_seconds_positive(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=8, n_traits=4, k_true=2, seed=0))
         hp = Hyperparameters(k_max=3)
         assert per_sweep_seconds(data, hp, n_sweeps=2, warmup=1) > 0
-
-    def test_ladder_validation(self):
-        hp = Hyperparameters()
-        with pytest.raises(ValidationError):
-            timing_ladder([], hp)
-        with pytest.raises(ValidationError):
-            timing_ladder([10], hp, repetitions=0)

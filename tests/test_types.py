@@ -88,15 +88,6 @@ class TestVariationalState:
         with pytest.raises(ValidationError, match="varphi"):
             st.validate()
 
-    def test_covariance_is_diagonal(self):
-        from conftest import random_state
-
-        st = random_state()
-        cov = st.covariance(1)
-        assert np.allclose(np.diag(cov), st.varphi[1])
-        assert np.allclose(cov, cov.T)
-        assert (np.linalg.eigvalsh(cov) > 0).all()
-
     def test_effective_k_counts_live_columns(self):
         from conftest import random_state
 
