@@ -93,13 +93,7 @@ def permute_labels(data: Dataset, seed) -> Dataset:
     )
 
 
-def fdr_threshold(
-    real_scores,
-    null_scores,
-    fdr_target: float,
-    n_real_tests: Optional[int] = None,
-    n_null_tests: Optional[int] = None,
-) -> Optional[float]:
+def fdr_threshold(real_scores, null_scores, fdr_target: float) -> Optional[float]:
     """Smallest observed real score usable as a significance cutoff.
 
     The FDR estimate at cutoff t is (#null >= t / #real >= t) scaled by the
@@ -113,9 +107,7 @@ def fdr_threshold(
     if real.size == 0 or null.size == 0:
         raise ValidationError("both real and null score sets must be non-empty")
     _check_fdr_target(fdr_target)
-    n_real = real.size if n_real_tests is None else n_real_tests
-    n_null = null.size if n_null_tests is None else n_null_tests
-    scale = n_real / n_null
+    scale = real.size / null.size
 
     real_sorted = np.sort(real)
     candidates = np.unique(real)[::-1]                 # descending
@@ -182,13 +174,7 @@ def run_permutation_fdr(
             )
     null = np.concatenate([vmap(s).ravel() for s in perm_states])
 
-    threshold = fdr_threshold(
-        scores.ravel(),
-        null,
-        fdr_target,
-        n_real_tests=scores.size,
-        n_null_tests=null.size,
-    )
+    threshold = fdr_threshold(scores.ravel(), null, fdr_target)
     result = AssociationScores(
         vmap=scores,
         signed=signed,

@@ -1,19 +1,19 @@
 """Command-line surface: simulate, fit, fdr, eval.
 
 All configuration is flag-only except the output directory, which falls back
-to the BERRRI_OUTPUT_DIR environment variable.  Errors exit nonzero with a
-single machine-parsable line on stderr.
+to the BERRRI_OUTPUT_DIR environment variable.  Every flag that sets a
+`SimConfig` or `Hyperparameters` field or a `run_permutation_fdr` parameter
+takes its default from the library, and each manifest records every parsed
+flag.  All files are written by `io`.  Errors exit nonzero with a single
+machine-parsable line on stderr.
 """
 
 import argparse
 import dataclasses
+import inspect
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
-
-import numpy as np
 
 from . import io, metrics
 from .associate import run_permutation_fdr
@@ -22,35 +22,9 @@ from .errors import BerrriError, ValidationError
 from .simulate import SimConfig, simulate
 from .types import Hyperparameters
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 logger = logging.getLogger("berrri")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand, paths, and all flag values."""
-
-    subcommand: str
-    out_dir: str
-    options: dict = field(default_factory=dict)
-    format_version: str = io.FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "out_dir": str(self.out_dir),
-            "options": {k: _jsonable(v) for k, v in self.options.items()},
-            "format_version": self.format_version,
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, Path):
-        return str(v)
-    if isinstance(v, (np.integer, np.floating)):
-        return v.item()
-    return v
 
 
 def _add_out_dir(parser):
@@ -61,8 +35,21 @@ def _add_out_dir(parser):
     )
 
 
-# (flag, Hyperparameters field, type, help); every default comes from the
-# field's own default, so the command line fits the library's model.
+# Flag tables: (flag, library field or parameter, type, help).  Every default
+# comes from the library, so the command line fits the library's model.
+_SIM_FLAGS = (
+    ("--individuals", "n_individuals", int, "individuals N"),
+    ("--snps", "n_snps", int, "SNPs Q"),
+    ("--traits", "n_traits", int, "traits P"),
+    ("--k-true", "k_true", int, "planted factors"),
+    ("--effect-sd", "effect_sd", float, "effect-size standard deviation"),
+    ("--noise-sd", "noise_sd", float, "trait noise standard deviation"),
+    ("--correlation-floor", "correlation_floor", float, "genotype correlation that co-includes a SNP"),
+    ("--maf-min", "maf_min", float, "lowest minor-allele frequency"),
+    ("--maf-max", "maf_max", float, "highest minor-allele frequency"),
+    ("--seed", "seed", int, "master RNG seed"),
+)
+
 _HYPER_FLAGS = (
     ("--alpha", "alpha", float, "IBP concentration"),
     ("--sigma2", "sigma2", float, "shared noise variance"),
@@ -76,11 +63,26 @@ _HYPER_FLAGS = (
     ("--seed", "seed", int, "master RNG seed"),
 )
 
+_FDR_FLAGS = (
+    ("--fdr-target", "fdr_target", float, "target false discovery rate"),
+    ("--n-permutations", "n_permutations", int, "permuted-trait refits pooled into the null"),
+)
 
-def _add_hyper_flags(parser):
-    defaults = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
-    for flag, name, kind, text in _HYPER_FLAGS:
+
+def _sim_defaults() -> dict:
+    """SimConfig's defaults, with maf_range split into --maf-min/--maf-max."""
+    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    defaults["maf_min"], defaults["maf_max"] = defaults.pop("maf_range")
+    return defaults
+
+
+def _add_flags(parser, table, defaults: dict):
+    for flag, name, kind, text in table:
         parser.add_argument(flag, type=kind, default=defaults[name], dest=name, help=text)
+
+
+def _values(args, table) -> dict:
+    return {name: getattr(args, name) for _, name, _, _ in table}
 
 
 def _add_input_flags(parser):
@@ -91,7 +93,7 @@ def _add_input_flags(parser):
 
 
 def _hp_from_args(args) -> Hyperparameters:
-    return Hyperparameters(**{name: getattr(args, name) for _, name, _, _ in _HYPER_FLAGS})
+    return Hyperparameters(**_values(args, _HYPER_FLAGS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,32 +105,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    hyper_defaults = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
+    fdr_defaults = {
+        name: param.default for name, param in inspect.signature(run_permutation_fdr).parameters.items()
+    }
 
     sim = sub.add_parser("simulate", help="generate a planted-truth dataset")
     _add_out_dir(sim)
-    sim.add_argument("--individuals", type=int, default=100, dest="n_individuals")
-    sim.add_argument("--snps", type=int, default=50, dest="n_snps")
-    sim.add_argument("--traits", type=int, default=25, dest="n_traits")
-    sim.add_argument("--k-true", type=int, default=5)
-    sim.add_argument("--effect-sd", type=float, default=0.5)
-    sim.add_argument("--noise-sd", type=float, default=1.0)
-    sim.add_argument("--correlation-floor", type=float, default=0.8)
-    sim.add_argument("--maf-min", type=float, default=0.05)
-    sim.add_argument("--maf-max", type=float, default=0.5)
+    _add_flags(sim, _SIM_FLAGS, _sim_defaults())
     sim.add_argument("--genotypes", default=None, help="optional external genotype TSV to subsample")
-    sim.add_argument("--seed", type=int, default=0)
 
     fit_p = sub.add_parser("fit", help="fit the model and write association scores")
     _add_out_dir(fit_p)
     _add_input_flags(fit_p)
-    _add_hyper_flags(fit_p)
+    _add_flags(fit_p, _HYPER_FLAGS, hyper_defaults)
 
     fdr_p = sub.add_parser("fdr", help="fit plus permutation FDR calibration")
     _add_out_dir(fdr_p)
     _add_input_flags(fdr_p)
-    _add_hyper_flags(fdr_p)
-    fdr_p.add_argument("--fdr-target", type=float, default=0.1)
-    fdr_p.add_argument("--n-permutations", type=int, default=10)
+    _add_flags(fdr_p, _HYPER_FLAGS, hyper_defaults)
+    _add_flags(fdr_p, _FDR_FLAGS, fdr_defaults)
 
     eval_p = sub.add_parser("eval", help="score a fit (or any score file) against truth")
     _add_out_dir(eval_p)
@@ -146,6 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args) -> dict:
+    """The manifest's record of one invocation: every parsed flag."""
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out_dir")}
+    return {
+        "subcommand": args.subcommand,
+        "out_dir": args.out_dir,
+        "options": options,
+        "format_version": io.FORMAT_VERSION,
+    }
+
+
 def _require_out_dir(args) -> str:
     """The output directory, created and probed for writing before any work."""
     if not args.out_dir:
@@ -156,39 +163,13 @@ def _require_out_dir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     out_dir = _require_out_dir(args)
-    cfg = SimConfig(
-        n_individuals=args.n_individuals,
-        n_snps=args.n_snps,
-        n_traits=args.n_traits,
-        k_true=args.k_true,
-        effect_sd=args.effect_sd,
-        noise_sd=args.noise_sd,
-        correlation_floor=args.correlation_floor,
-        maf_range=(args.maf_min, args.maf_max),
-        seed=args.seed,
-        genotypes=io.load_matrix(args.genotypes, "genotype").values if args.genotypes else None,
-    )
-    data, truth = simulate(cfg)
-    run_cfg = RunConfig("simulate", out_dir, _sim_options(args))
-    paths = io.save_simulation(run_cfg.out_dir, data, truth, config=run_cfg.to_dict())
+    fields = _values(args, _SIM_FLAGS)
+    fields["maf_range"] = (fields.pop("maf_min"), fields.pop("maf_max"))
+    genotypes = io.load_matrix(args.genotypes, "genotype").values if args.genotypes else None
+    data, truth = simulate(SimConfig(**fields, genotypes=genotypes))
+    paths = io.save_simulation(out_dir, data, truth, config=_run_config(args))
     logger.info("simulated %d x %d genotypes, %d traits -> %s", data.n_individuals, data.n_snps, data.n_traits, paths["manifest"])
     return 0
-
-
-def _sim_options(args) -> dict:
-    keys = (
-        "n_individuals", "n_snps", "n_traits", "k_true", "effect_sd", "noise_sd",
-        "correlation_floor", "maf_min", "maf_max", "seed", "genotypes",
-    )
-    return {k: getattr(args, k, None) for k in keys}
-
-
-def _fit_options(args, extra=()) -> dict:
-    keys = [
-        "genotypes", "traits", "snp_positions", "trait_positions",
-        *(name for _, name, _, _ in _HYPER_FLAGS), *extra,
-    ]
-    return {k: getattr(args, k, None) for k in keys}
 
 
 def _cmd_fit(args) -> int:
@@ -196,8 +177,7 @@ def _cmd_fit(args) -> int:
     data = io.load_dataset(args.genotypes, args.traits, args.snp_positions, args.trait_positions)
     hp = _hp_from_args(args)
     state, report = fit(data, hp)
-    run_cfg = RunConfig("fit", out_dir, _fit_options(args))
-    paths = io.save_results(out_dir, data, state, report, config=run_cfg.to_dict())
+    paths = io.save_results(out_dir, data, state, report, config=_run_config(args))
     logger.info(
         "fit %s in %d iterations (converged=%s, k_effective=%d) -> %s",
         "converged" if report.converged else "stopped",
@@ -213,14 +193,8 @@ def _cmd_fdr(args) -> int:
     out_dir = _require_out_dir(args)
     data = io.load_dataset(args.genotypes, args.traits, args.snp_positions, args.trait_positions)
     hp = _hp_from_args(args)
-    scores, state, report = run_permutation_fdr(
-        data,
-        hp,
-        fdr_target=args.fdr_target,
-        n_permutations=args.n_permutations,
-    )
-    run_cfg = RunConfig("fdr", out_dir, _fit_options(args, extra=("fdr_target", "n_permutations")))
-    paths = io.save_results(out_dir, data, state, report, scores=scores, config=run_cfg.to_dict())
+    scores, state, report = run_permutation_fdr(data, hp, **_values(args, _FDR_FLAGS))
+    paths = io.save_results(out_dir, data, state, report, scores=scores, config=_run_config(args))
     logger.info(
         "fdr threshold=%s discoveries=%d -> %s",
         "none" if scores.threshold is None else f"{scores.threshold:.6g}",
@@ -236,18 +210,13 @@ def _cmd_eval(args) -> int:
     if (args.scores is None) != (args.mask is None):
         raise ValidationError("--scores and --mask must be given together")
     out_dir = _require_out_dir(args)
-    out = Path(out_dir)
-    results = {}
+    results, pr_rows = {}, None
 
     if args.scores is not None:
         score_file = io.load_matrix(args.scores, "trait")
         mask_file = io.load_matrix(args.mask, "trait")
         curve = metrics.precision_recall(score_file.values, mask_file.values > 0.5)
-        pr_path = out / "pr_curve.tsv"
-        with open(pr_path, "w") as fh:
-            fh.write("threshold\tprecision\trecall\n")
-            for t, pr, rc in curve.rows():
-                fh.write(f"{io.fmt(t)}\t{io.fmt(pr)}\t{io.fmt(rc)}\n")
+        pr_rows = curve.rows()
         results["pr_auc"] = curve.auc
         p75 = curve.precision_at_recall(0.75)
         results["precision_at_recall_0.75"] = p75 if p75 is not None else "NA"
@@ -257,18 +226,8 @@ def _cmd_eval(args) -> int:
         pred = io.load_matrix(pred_path, "trait")
         results[f"rss_{label}"] = metrics.rss(truth.values, pred.values)
 
-    metrics_path = out / "metrics.tsv"
-    with open(metrics_path, "w") as fh:
-        fh.write("metric\tvalue\n")
-        for key in sorted(results):
-            v = results[key]
-            fh.write(f"{key}\t{io.fmt(v) if isinstance(v, float) else v}\n")
-    run_cfg = RunConfig(
-        "eval", out_dir,
-        {"scores": args.scores, "mask": args.mask, "rss": [list(r) for r in args.rss]},
-    )
-    io._write_manifest(out / "manifest.json", {"config": run_cfg.to_dict(), "metrics": {k: _jsonable(v) for k, v in results.items()}})
-    logger.info("eval metrics -> %s", metrics_path)
+    paths = io.save_evaluation(out_dir, results, pr_rows, config=_run_config(args))
+    logger.info("eval metrics -> %s", paths["metrics"])
     return 0
 
 

@@ -56,6 +56,10 @@ TRACE_BLOCKS = ("lambda", "eta", "phi", "varphi", "kappa")
 # counts as a decrease; smaller drops are floating-point noise.
 ELBO_DECREASE_RTOL = 1e-8
 
+# The shortest post-burn-in trace checked: the Geweke test needs two values
+# in its first 10%.
+_MIN_POST_BURN = 20
+
 
 def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     """Deterministic data-aware initialization.
@@ -75,13 +79,13 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     phi = np.zeros((K, P))
     varphi = np.ones((K, P))
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
-    _kappa_block_update(state, hp)
+    _kappa_update(state.kappa, state.varphi, state.phi, hp)
     ws = _Workspace([data], [hp])
     batch = _as_batch(state)
     M = ws.X @ batch.eta
     for k in range(K):
         _A_factor_update(batch, ws, k, M)
-    _kappa_block_update(state, hp)
+    _kappa_update(state.kappa, state.varphi, state.phi, hp)
     return state
 
 
@@ -213,16 +217,15 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     return state.phi[k].copy(), state.varphi[k].copy()
 
 
-def _kappa_block_update(state: VariationalState, hp: Hyperparameters):
-    """Exact inverse-gamma update of every ARD variance of one fit."""
-    state.kappa[..., 0] = hp.c + 0.5
-    state.kappa[..., 1] = hp.d + (state.varphi + state.phi**2) / 2.0
+def _kappa_update(kappa, varphi, phi, hp: Hyperparameters):
+    """Exact inverse-gamma update of the ARD variances of matching slices."""
+    kappa[..., 0] = hp.c + 0.5
+    kappa[..., 1] = hp.d + (varphi + phi**2) / 2.0
 
 
 def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
     """Exact inverse-gamma update of one ARD variance."""
-    state.kappa[k, p, 0] = hp.c + 0.5
-    state.kappa[k, p, 1] = hp.d + (state.varphi[k, p] + state.phi[k, p] ** 2) / 2.0
+    _kappa_update(state.kappa[k, p], state.varphi[k, p], state.phi[k, p], hp)
     return state.kappa[k, p, 0], state.kappa[k, p, 1]
 
 
@@ -274,7 +277,7 @@ def sweep(
         _A_factor_update(batch, ws, k, M)
 
     for m, h in zip(members, hps):
-        _kappa_block_update(m, h)
+        _kappa_update(m.kappa, m.varphi, m.phi, h)
 
     state.iteration += 1
     return state
@@ -292,7 +295,6 @@ class TraceMonitor:
 
     burn_in: int = 100
     check_interval: int = 100
-    min_post_burn: int = 20
     traces: dict = field(default_factory=lambda: {b: [] for b in TRACE_BLOCKS})
 
     def record(self, state: VariationalState):
@@ -310,7 +312,7 @@ class TraceMonitor:
 
     def ready(self) -> bool:
         n = len(self)
-        return n - self.burn_in >= self.min_post_burn and n % self.check_interval == 0
+        return n - self.burn_in >= _MIN_POST_BURN and n % self.check_interval == 0
 
 
 @dataclass(frozen=True)
@@ -322,7 +324,7 @@ class ConvergenceCheck:
     iteration: int = 0
 
 
-def geweke_statistic(trace, first: float = 0.1, last: float = 0.5):
+def geweke_statistic(trace):
     """Two-segment stationarity test on one trace.
 
     Compares the mean of the first 10% against the mean of the last 50% with
@@ -335,8 +337,8 @@ def geweke_statistic(trace, first: float = 0.1, last: float = 0.5):
     Returns (t, p, degenerate_flag).
     """
     x = np.asarray(trace, dtype=np.float64)
-    n1 = int(first * x.size)
-    n2 = int(last * x.size)
+    n1 = int(0.1 * x.size)
+    n2 = int(0.5 * x.size)
     if n1 < 2 or n2 < 2:
         raise ValidationError(
             f"trace of length {x.size} is too short for segment sizes ({n1}, {n2})"

@@ -26,10 +26,12 @@ __all__ = [
     "MatrixFile",
     "load_matrix",
     "save_matrix",
+    "write_table",
     "load_positions",
     "load_dataset",
     "save_results",
     "save_simulation",
+    "save_evaluation",
     "load_manifest",
 ]
 
@@ -67,6 +69,7 @@ def load_matrix(path, kind: str) -> MatrixFile:
         col_ids = tuple(header[1:])
         if not col_ids:
             raise ValidationError(f"{path}: header row has no column IDs")
+        _reject_repeats(path, col_ids, "column ID", "in columns", start=2)
         row_ids = []
         rows = []
         for i, rec in enumerate(reader, start=2):
@@ -107,15 +110,32 @@ def load_matrix(path, kind: str) -> MatrixFile:
     return MatrixFile(values=values, row_ids=tuple(row_ids), col_ids=tuple(col_ids))
 
 
+def _reject_repeats(path, ids, kind: str, where: str, start: int):
+    """Raise on the first ID that occurs twice, naming both of its positions."""
+    seen = {}
+    for n, item in enumerate(ids, start=start):
+        if item in seen:
+            raise ValidationError(f"{path}: {kind} {item!r} appears twice, {where} {seen[item]} and {n}")
+        seen[item] = n
+
+
+def write_table(path, header, rows):
+    """Write a TSV table: the header cells, then one line per row of text cells."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
 def save_matrix(path, values, row_ids=None, col_ids=None, corner: str = "id"):
     values = np.asarray(values)
     n, m = values.shape
     row_ids = row_ids if row_ids is not None else [f"r{i}" for i in range(n)]
     col_ids = col_ids if col_ids is not None else [f"c{j}" for j in range(m)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\t".join([corner, *map(str, col_ids)]) + "\n")
-        for rid, row in zip(row_ids, values):
-            fh.write("\t".join([str(rid), *(fmt(v) for v in row)]) + "\n")
+    write_table(
+        path,
+        [corner, *map(str, col_ids)],
+        ([str(rid), *map(fmt, row)] for rid, row in zip(row_ids, values)),
+    )
 
 
 def load_positions(path) -> dict:
@@ -123,18 +143,20 @@ def load_positions(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"no such file: {path}")
-    out = {}
+    ids, positions = [], []
     with open(path, newline="") as fh:
         for i, rec in enumerate(csv.reader(fh, delimiter="\t"), start=1):
             if len(rec) != 2:
                 raise ValidationError(f"{path}: line {i} has {len(rec)} fields, expected 2")
             try:
-                out[rec[0]] = float(rec[1])
+                positions.append(float(rec[1]))
             except ValueError:
                 raise ValidationError(
                     f"{path}: malformed position at line {i}: {rec[1]!r}"
                 ) from None
-    return out
+            ids.append(rec[0])
+    _reject_repeats(path, ids, "ID", "on lines", start=1)
+    return dict(zip(ids, positions))
 
 
 def load_dataset(
@@ -228,48 +250,43 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     with_distance = dataset.snp_positions is not None and dataset.trait_positions is not None
 
     paths = {}
-    vmap_path = out / "vmap.tsv"
-    with open(vmap_path, "w") as fh:
-        cols = ["snp_id", "trait_id", "vmap_signed", "vmap", "significant"]
-        if with_distance:
-            cols.append("distance")
-        fh.write("\t".join(cols) + "\n")
+    cols = ["snp_id", "trait_id", "vmap_signed", "vmap", "significant"]
+    if with_distance:
+        cols.append("distance")
+
+    def vmap_rows():
         for q, snp in enumerate(dataset.snp_ids):
+            s_row, m_row, f_row = signed[q].tolist(), magnitude[q].tolist(), significant[q].tolist()
             for p, trait in enumerate(dataset.trait_ids):
-                row = [snp, trait, fmt(signed[q, p]), fmt(magnitude[q, p]), str(int(significant[q, p]))]
+                row = [snp, trait, fmt(s_row[p]), fmt(m_row[p]), str(int(f_row[p]))]
                 if with_distance:
                     row.append(fmt(abs(dataset.snp_positions[q] - dataset.trait_positions[p])))
-                fh.write("\t".join(row) + "\n")
-    paths["vmap"] = vmap_path
+                yield row
+
+    paths["vmap"] = out / "vmap.tsv"
+    write_table(paths["vmap"], cols, vmap_rows())
 
     # wide Q x P magnitude matrix, consumable by `eval` and external tools
-    matrix_path = out / "vmap_matrix.tsv"
-    save_matrix(matrix_path, magnitude, dataset.snp_ids, dataset.trait_ids, corner="snp_id")
-    paths["vmap_matrix"] = matrix_path
+    paths["vmap_matrix"] = out / "vmap_matrix.tsv"
+    save_matrix(paths["vmap_matrix"], magnitude, dataset.snp_ids, dataset.trait_ids, corner="snp_id")
 
-    factors_path = out / "factors.tsv"
-    with open(factors_path, "w") as fh:
-        fh.write("snp_id\tfactor\teta\n")
-        for q, snp in enumerate(dataset.snp_ids):
-            for k in range(state.k_max):
-                fh.write(f"{snp}\t{k}\t{fmt(state.eta[q, k])}\n")
-    paths["factors"] = factors_path
+    paths["factors"] = out / "factors.tsv"
+    write_table(paths["factors"], ["snp_id", "factor", "eta"], (
+        [snp, str(k), fmt(state.eta[q, k])]
+        for q, snp in enumerate(dataset.snp_ids)
+        for k in range(state.k_max)
+    ))
 
-    loadings_path = out / "loadings.tsv"
-    with open(loadings_path, "w") as fh:
-        fh.write("factor\ttrait_id\tphi\n")
-        for k in range(state.k_max):
-            for p, trait in enumerate(dataset.trait_ids):
-                fh.write(f"{k}\t{trait}\t{fmt(state.phi[k, p])}\n")
-    paths["loadings"] = loadings_path
+    paths["loadings"] = out / "loadings.tsv"
+    write_table(paths["loadings"], ["factor", "trait_id", "phi"], (
+        [str(k), trait, fmt(state.phi[k, p])]
+        for k in range(state.k_max)
+        for p, trait in enumerate(dataset.trait_ids)
+    ))
 
     if scores is not None and scores.null_scores is not None:
-        null_path = out / "null_scores.tsv"
-        with open(null_path, "w") as fh:
-            fh.write("null_score\n")
-            for v in scores.null_scores:
-                fh.write(fmt(v) + "\n")
-        paths["null_scores"] = null_path
+        paths["null_scores"] = out / "null_scores.tsv"
+        write_table(paths["null_scores"], ["null_score"], ([fmt(v)] for v in scores.null_scores))
 
     manifest = {
         "config": config or {},
@@ -323,4 +340,24 @@ def save_simulation(out_dir, dataset: Dataset, truth, config: Optional[dict] = N
     manifest_path = out / "manifest.json"
     _write_manifest(manifest_path, {"config": config or {}})
     paths["manifest"] = manifest_path
+    return paths
+
+
+def save_evaluation(out_dir, results: dict, pr_rows=None, config: Optional[dict] = None):
+    """Persist `eval` metrics: metrics.tsv (metric, value) sorted by name,
+    pr_curve.tsv (threshold, precision, recall) when PR rows are given, and
+    manifest.json.  Float values are written at 17 digits; others as text.
+    Returns {name: path}.
+    """
+    out = _prepare_out_dir(out_dir)
+    paths = {}
+    if pr_rows is not None:
+        paths["pr_curve"] = out / "pr_curve.tsv"
+        write_table(paths["pr_curve"], ["threshold", "precision", "recall"], (list(map(fmt, row)) for row in pr_rows))
+    paths["metrics"] = out / "metrics.tsv"
+    write_table(paths["metrics"], ["metric", "value"], (
+        [key, fmt(v) if isinstance(v, float) else str(v)] for key, v in sorted(results.items())
+    ))
+    paths["manifest"] = out / "manifest.json"
+    _write_manifest(paths["manifest"], {"config": config or {}, "metrics": results})
     return paths

@@ -125,7 +125,7 @@ class TestFdrThreshold:
         null = rng.exponential(size=400) * 0.3
         thresholds = []
         for target in (0.02, 0.05, 0.1, 0.2, 0.4):
-            t = fdr_threshold(real, null, target, 200, 400)
+            t = fdr_threshold(real, null, target)
             thresholds.append(np.inf if t is None else t)
         assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
 
@@ -134,7 +134,7 @@ class TestFdrThreshold:
         null = [2.0, 2.0, 2.0, 2.0]
         # 1 null above t=5? none -> fdr 0; at t=1: 4 null / 2 real, scaled by
         # n_real/n_null = 1/2 -> 1.0
-        assert fdr_threshold(real, null, 0.10, 2, 4) == pytest.approx(5.0)
+        assert fdr_threshold(real, null, 0.10) == pytest.approx(5.0)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -160,10 +160,7 @@ class TestRunPermutationFdr:
         perm_state, _ = fit(shuffled, hp.with_(seed=perm_seed))
         manual_null = vmap(perm_state).ravel()
         assert np.allclose(np.sort(scores.null_scores), np.sort(manual_null))
-        manual_thr = fdr_threshold(
-            vmap(state).ravel(), manual_null, 0.1,
-            n_real_tests=50, n_null_tests=50,
-        )
+        manual_thr = fdr_threshold(vmap(state).ravel(), manual_null, 0.1)
         assert scores.threshold == manual_thr or (
             scores.threshold is None and manual_thr is None
         )

@@ -63,7 +63,7 @@ class TestTraceMonitor:
         assert mon.post_burn("eta").size == 7
 
     def test_ready_needs_cadence_and_min_length(self):
-        mon = TraceMonitor(burn_in=5, check_interval=10, min_post_burn=20)
+        mon = TraceMonitor(burn_in=5, check_interval=10)
         state = random_state()
         for i in range(1, 41):
             mon.record(state)

@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import os
 import platform
@@ -89,6 +92,20 @@ class TestLoadDataset:
         gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
         (tmp_path / "sp.tsv").write_text("s1\t100\n")
         with pytest.raises(ValidationError, match="s2"):
+            io.load_dataset(gx, gy, tmp_path / "sp.tsv")
+
+    def test_repeated_column_id_names_both_columns(self, tmp_path):
+        gx = tmp_path / "x.tsv"
+        gx.write_text("id\ts1\ts1\na\t0\t1\n")
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
+        with pytest.raises(ValidationError, match=r"x\.tsv: column ID 's1' appears twice, in columns 2 and 3"):
+            io.load_dataset(gx, gy)
+
+    def test_repeated_position_id_names_both_lines(self, tmp_path):
+        gx = write_matrix(tmp_path / "x.tsv", [[0, 1]], ["a"], ["s1", "s2"])
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
+        (tmp_path / "sp.tsv").write_text("s1\t100\ns2\t250\ns1\t900\n")
+        with pytest.raises(ValidationError, match=r"sp\.tsv: ID 's1' appears twice, on lines 1 and 3"):
             io.load_dataset(gx, gy, tmp_path / "sp.tsv")
 
 
@@ -322,3 +339,42 @@ class TestCli:
         manifest = io.load_manifest(tmp_path / "fit" / "manifest.json")
         assert manifest["converged"]
         assert manifest["iterations"] < Hyperparameters().max_iter
+
+    def test_flags_track_the_library_and_manifests_record_every_flag(self, tmp_path):
+        from berrri.associate import run_permutation_fdr
+        from berrri.cli import build_parser
+
+        parser = build_parser()
+        inputs = ["--genotypes", "x", "--traits", "y"]
+        sim = {f.name: getattr(SimConfig(), f.name) for f in dataclasses.fields(SimConfig)}
+        sim["maf_min"], sim["maf_max"] = sim.pop("maf_range")
+        hyper = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
+        fdr = {
+            name: param.default for name, param in inspect.signature(run_permutation_fdr).parameters.items()
+            if param.default is not param.empty
+        }
+        assert sim.items() <= vars(parser.parse_args(["simulate"])).items()
+        assert hyper.items() <= vars(parser.parse_args(["fit", *inputs])).items()
+        assert {**hyper, **fdr}.items() <= vars(parser.parse_args(["fdr", *inputs])).items()
+
+        small = ["--k-max", "2", "--burn-in", "5", "--check-interval", "10", "--max-iter", "20"]
+        assert run(["simulate", "--out-dir", str(tmp_path / "simulate")]) == 0
+        data = ["--genotypes", str(tmp_path / "simulate" / "genotypes.tsv"),
+                "--traits", str(tmp_path / "simulate" / "traits.tsv")]
+        assert run(["fit", "--out-dir", str(tmp_path / "fit"), *data, *small]) == 0
+        assert run(["fdr", "--out-dir", str(tmp_path / "fdr"), *data, *small, "--n-permutations", "1"]) == 0
+        assert run([
+            "eval", "--out-dir", str(tmp_path / "eval"),
+            "--scores", str(tmp_path / "fit" / "vmap_matrix.tsv"),
+            "--mask", str(tmp_path / "simulate" / "mask.tsv"),
+        ]) == 0
+        options = {
+            command: io.load_manifest(tmp_path / command / "manifest.json")["config"]["options"]
+            for command in ("simulate", "fit", "fdr", "eval")
+        }
+        assert options["simulate"] == sim
+
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, sub in subparsers.choices.items():
+            flags = {a.dest for a in sub._actions if a.dest not in ("help", "out_dir")}
+            assert set(options[command]) == flags, command
