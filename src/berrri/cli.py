@@ -215,6 +215,7 @@ def _cmd_eval(args) -> int:
     if args.scores is not None:
         score_file = io.load_matrix(args.scores, "trait")
         mask_file = io.load_matrix(args.mask, "trait")
+        io.require_same_ids(args.scores, score_file, args.mask, mask_file)
         curve = metrics.precision_recall(score_file.values, mask_file.values > 0.5)
         pr_rows = curve.rows()
         results["pr_auc"] = curve.auc
@@ -224,6 +225,7 @@ def _cmd_eval(args) -> int:
     for label, truth_path, pred_path in args.rss:
         truth = io.load_matrix(truth_path, "trait")
         pred = io.load_matrix(pred_path, "trait")
+        io.require_same_ids(truth_path, truth, pred_path, pred)
         results[f"rss_{label}"] = metrics.rss(truth.values, pred.values)
 
     paths = io.save_evaluation(out_dir, results, pr_rows, config=_run_config(args))

@@ -11,12 +11,15 @@ Convergence is judged from per-block scalar traces with a Geweke-style
 two-segment test, checked at a fixed iteration cadence after burn-in.
 
 Fits that share the genotype matrix X (permutation refits) run as one batch:
-the state carries a leading batch axis, the inclusion kernel updates every
-member at once with one (B x Q)(Q x N) product per SNP, and the other blocks
-work member by member on views of the stacked arrays.  A single fit is the
-batch of one.
+the state carries a leading batch axis, and so does every block.  The
+inclusion kernel updates every member at once with one (B x Q)(Q x N)
+product per SNP; lambda, the factor residuals, the effect sizes and the ARD
+variances are array operations over the batch axis, and `fit` evaluates
+the ELBO and the trace means of all members with one call each.  A single
+fit is the batch of one.
 """
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from . import kernels
 from .errors import EngineError, ValidationError
 from .model import elbo
 from .streams import child_rng
-from .types import Dataset, Hyperparameters, VariationalState
+from .types import Dataset, Hyperparameters, VariationalState, batch_members, shared_genotypes
 
 __all__ = [
     "TRACE_BLOCKS",
@@ -79,78 +82,85 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     phi = np.zeros((K, P))
     varphi = np.ones((K, P))
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
-    _kappa_update(state.kappa, state.varphi, state.phi, hp)
+    _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
     ws = _Workspace([data], [hp])
-    batch = _as_batch(state)
+    batch = state.as_batch()
     M = ws.X @ batch.eta
     for k in range(K):
         _A_factor_update(batch, ws, k, M)
-    _kappa_update(state.kappa, state.varphi, state.phi, hp)
+    _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
     return state
 
 
 class _Workspace:
-    """Constants of one batch of fits: the genotype matrix they share, their
-    traits, and their noise variances stacked along the batch axis."""
+    """Constants of one batch of fits: the genotype matrix they share, its
+    transpose and column sums of squares, their traits stacked B x N x P,
+    and the hyperparameters that may differ between members, as length-B
+    arrays."""
 
     def __init__(self, datasets, hps):
-        X = datasets[0].X
-        for data in datasets[1:]:
-            if data.X is not X and not np.array_equal(data.X, X):
-                raise ValidationError("fits in one batch must share the genotype matrix")
-        self.X = X
-        self.XT = np.ascontiguousarray(X.T)
-        self.x2sum = (X**2).sum(axis=0)
-        self.Y = [data.Y for data in datasets]
-        self.sigma2 = np.array([hp.sigma2 for hp in hps])
-        # scratch for one member's N x P residual: reused for every factor,
+        self.X = shared_genotypes(datasets)
+        self.XT = np.ascontiguousarray(self.X.T)
+        self.x2sum = (self.X**2).sum(axis=0)
+        # a fit on its own holds a view of its traits, not a stacked copy
+        self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
+        self.sigma2, self.alpha, self.c, self.d = (
+            np.array([getattr(hp, name) for hp in hps]) for name in ("sigma2", "alpha", "c", "d")
+        )
+        # scratch for the members' N x P residuals: reused for every factor,
         # so a sweep allocates (and page-faults) no N x P temporaries
-        self.residual = np.empty(self.Y[0].shape)
+        self.residual = np.empty(self.Y.shape)
 
-
-def _as_batch(state: VariationalState) -> VariationalState:
-    """A plain state as a batch of one whose arrays are views of its own."""
-    return VariationalState(
-        state.lam[None], state.eta[None], state.phi[None], state.varphi[None],
-        state.kappa[None], iteration=state.iteration,
-    )
+    def take(self, members) -> "_Workspace":
+        """The workspace of the given members, sharing the genotype constants."""
+        ws = copy.copy(self)
+        ws.Y, ws.sigma2, ws.alpha, ws.c, ws.d = (
+            a[members] for a in (self.Y, self.sigma2, self.alpha, self.c, self.d)
+        )
+        ws.residual = np.empty(ws.Y.shape)
+        return ws
 
 
 # ---------------------------------------------------------------------------
-# Block updates.  The standalone functions recompute whatever they need from
-# the current state; `sweep` reuses the same cores with per-factor caching.
-# The inclusion and effect-size cores take a batch (a plain state enters as
-# a batch of one).
+# Block updates.  Each block has one core that updates a whole batch (a plain
+# state enters as a batch of one); the public single-entry updates call it on
+# one fit, and `sweep` calls it on the batch with per-factor caching.
 # ---------------------------------------------------------------------------
+
+
+def _lambda_update(lam, eta, alpha, k: int):
+    """Beta parameters of stick weight k from the inclusion means, for one
+    fit (alpha a scalar) or a batch (alpha of length B)."""
+    eta_k = eta[..., k]
+    lam[..., k, 0] = alpha / eta.shape[-1] + eta_k.sum(axis=-1)
+    lam[..., k, 1] = 1.0 + (1.0 - eta_k).sum(axis=-1)
 
 
 def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
     """Beta parameters of stick weight k from the current inclusion means."""
-    eta_k = state.eta[:, k]
-    state.lam[k, 0] = hp.alpha / state.k_max + eta_k.sum()
-    state.lam[k, 1] = 1.0 + (1.0 - eta_k).sum()
+    _lambda_update(state.lam, state.eta, hp.alpha, k)
     return state.lam[k, 0], state.lam[k, 1]
 
 
-def _factor_residual(ws: _Workspace, Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int):
-    """Expected residual Y - M @ phi of one member with factor k's
-    contribution excluded, that is with column k of the loads M zeroed
-    (cheaper than adding the N x P outer product M[:, k] phi[k] back).  It
-    lives in the workspace's scratch buffer until the next call."""
+def _factor_residual(Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int, out=None):
+    """Expected residuals Y - M @ phi of every member (Y is B x N x P) with
+    factor k's contribution excluded, that is with column k of the loads M
+    (B x N x K) zeroed (cheaper than adding the N x P outer product
+    M[:, k] phi[k] back).  Written into `out` if given (a sweep passes the
+    workspace's scratch, so it allocates no N x P temporaries)."""
     M_other = M.copy()
-    M_other[:, k] = 0.0
-    R = np.matmul(M_other, phi, out=ws.residual)
+    M_other[:, :, k] = 0.0
+    R = np.matmul(M_other, phi, out=out)
     return np.subtract(Y, R, out=R)
 
 
-def _eta_factor_inputs(batch: VariationalState, ws: _Workspace, k: int):
+def _eta_factor_inputs(batch: VariationalState, X: np.ndarray, Y: np.ndarray, k: int, out=None):
     """Per-member quantities that stay fixed across one factor's inclusion
     sweep: the residual projected onto the effect means (B x N), the prior
     logit and the summed effect second moment (length B)."""
-    M = ws.X @ batch.eta
-    U = np.array([
-        _factor_residual(ws, Y, M_b, phi, k) @ phi[k] for Y, M_b, phi in zip(ws.Y, M, batch.phi)
-    ])
+    R = _factor_residual(Y, X @ batch.eta, batch.phi, k, out)
+    # matmul forms, so a batch of one computes `R @ phi[k]` bit for bit
+    U = np.matmul(R, batch.phi[:, k, :, None])[..., 0]
     prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
     sa2 = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1)
     return U, prior_logit, sa2
@@ -167,7 +177,7 @@ def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int):
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
-    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
+    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws.X, ws.Y, k, ws.residual)
     E = np.ascontiguousarray(batch.eta[:, :, k])
     bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / ws.sigma2)
     if bad is not None:
@@ -177,14 +187,15 @@ def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int):
 
 def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int, q: int):
     """Exact mean-field update of one inclusion probability: the kernel's
-    per-SNP step.  A non-finite logit raises before the SNP is written."""
-    ws = _Workspace([data], [hp])
-    U, prior_logit, sa2 = _eta_factor_inputs(_as_batch(state), ws, k)
+    per-SNP step, with only SNP q's logit offset computed.  A non-finite
+    logit raises before the SNP is written."""
+    U, prior_logit, sa2 = _eta_factor_inputs(state.as_batch(), data.X, data.Y[None], k)
+    x_q = data.X[:, q]
     offset, coef = kernels.eta_factor_terms(
-        ws.XT, ws.x2sum, U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
+        x_q[None], np.array([x_q @ x_q]), U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
     )
     E = state.eta[:, k].copy()
-    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[q], coef)):
+    if not np.isfinite(kernels.eta_snp_update(E, data.X.T, q, offset[0], coef)):
         raise _nonfinite_logit(k, q, 0, 1)
     state.eta[q, k] = E[q]
     return state.eta[q, k]
@@ -195,9 +206,8 @@ def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndar
     eta_k = batch.eta[:, :, k]
     M_k = M[:, :, k]
     S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + (eta_k * (1.0 - eta_k)) @ ws.x2sum
-    MR_k = np.array([
-        M_b[:, k] @ _factor_residual(ws, Y, M_b, phi, k) for Y, M_b, phi in zip(ws.Y, M, batch.phi)
-    ])
+    # matmul form, so a batch of one computes `M[:, k] @ R` bit for bit
+    MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws.Y, M, batch.phi, k, ws.residual))[:, 0]
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / ws.sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):
@@ -212,20 +222,21 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     The row posterior factorizes over traits, so the covariance is diagonal:
     the returned variance vector is the diagonal of the posterior covariance.
     """
-    batch = _as_batch(state)
+    batch = state.as_batch()
     _A_factor_update(batch, _Workspace([data], [hp]), k, data.X @ batch.eta)
     return state.phi[k].copy(), state.varphi[k].copy()
 
 
-def _kappa_update(kappa, varphi, phi, hp: Hyperparameters):
-    """Exact inverse-gamma update of the ARD variances of matching slices."""
-    kappa[..., 0] = hp.c + 0.5
-    kappa[..., 1] = hp.d + (varphi + phi**2) / 2.0
+def _kappa_update(kappa, varphi, phi, c, d):
+    """Exact inverse-gamma update of the ARD variances of matching slices,
+    with prior shape c and rate d broadcast against them."""
+    kappa[..., 0] = c + 0.5
+    kappa[..., 1] = d + (varphi + phi**2) / 2.0
 
 
 def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
     """Exact inverse-gamma update of one ARD variance."""
-    _kappa_update(state.kappa[k, p], state.varphi[k, p], state.phi[k, p], hp)
+    _kappa_update(state.kappa[k, p], state.varphi[k, p], state.phi[k, p], hp.c, hp.d)
     return state.kappa[k, p, 0], state.kappa[k, p, 1]
 
 
@@ -241,33 +252,25 @@ def sweep(
 
     `state` is one fit's state with its Dataset and Hyperparameters, or a
     batch (`VariationalState.stack`) with one Dataset and one Hyperparameters
-    per member, all datasets sharing X.  Lambda runs per member, the
-    inclusion kernel and the effect-size update per factor for the whole
-    batch, and the ARD block as one update per member.  `order` overrides
-    the factor processing sequence (default ascending).  The result equals,
-    to round-off, the public updates composed in the same order
+    per member, all datasets sharing X.  Every block updates the whole batch
+    at once: lambda, the inclusion kernel and the effect sizes factor by
+    factor, the ARD variances in one step.  `order` overrides the factor
+    processing sequence (default ascending).  The result equals, to
+    round-off, the public updates composed in the same order
     (`update_lambda`, `update_eta` per SNP, `update_A`, `update_kappa` per
     entry).
     """
-    batched = state.eta.ndim == 3
-    batch = state if batched else _as_batch(state)
-    members = [state.member(b) for b in range(len(state.eta))] if batched else [state]
-    datasets = list(data) if batched else [data]
-    hps = list(hp) if batched else [hp]
-    if not len(members) == len(datasets) == len(hps):
-        raise ValidationError(
-            f"a batch of {len(members)} states needs as many datasets and hyperparameters, "
-            f"got {len(datasets)} and {len(hps)}"
-        )
+    batch, datasets, hps = batch_members(state, data, hp)
     ws = workspace if workspace is not None else _Workspace(datasets, hps)
     K = state.k_max
     factor_order = range(K) if order is None else [int(k) for k in order]
     if order is not None and sorted(factor_order) != list(range(K)):
         raise ValidationError(f"order must be a permutation of 0..{K - 1}")
 
+    # lambda factor by factor: a whole-array sum over the SNP axis would
+    # round differently from one fit's per-factor sums
     for k in factor_order:
-        for m, h in zip(members, hps):
-            update_lambda(m, h, k)
+        _lambda_update(batch.lam, batch.eta, ws.alpha, k)
 
     for k in factor_order:
         _eta_factor_update(batch, ws, k)
@@ -276,8 +279,7 @@ def sweep(
     for k in factor_order:
         _A_factor_update(batch, ws, k, M)
 
-    for m, h in zip(members, hps):
-        _kappa_update(m.kappa, m.varphi, m.phi, h)
+    _kappa_update(batch.kappa, batch.varphi, batch.phi, ws.c[:, None, None], ws.d[:, None, None])
 
     state.iteration += 1
     return state
@@ -286,6 +288,16 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Convergence monitoring
 # ---------------------------------------------------------------------------
+
+
+def _block_means(batch: VariationalState):
+    """The mean of each parameter block (in TRACE_BLOCKS order) for every
+    member of a batch, one reduction per block."""
+    B = len(batch.eta)
+    return [
+        getattr(batch, name).reshape(B, -1).mean(axis=1)
+        for name in ("lam", "eta", "phi", "varphi", "kappa")
+    ]
 
 
 @dataclass
@@ -298,11 +310,12 @@ class TraceMonitor:
     traces: dict = field(default_factory=lambda: {b: [] for b in TRACE_BLOCKS})
 
     def record(self, state: VariationalState):
-        self.traces["lambda"].append(float(state.lam.mean()))
-        self.traces["eta"].append(float(state.eta.mean()))
-        self.traces["phi"].append(float(state.phi.mean()))
-        self.traces["varphi"].append(float(state.varphi.mean()))
-        self.traces["kappa"].append(float(state.kappa.mean()))
+        """Append the block means of one fit's state."""
+        self._append(_block_means(state.as_batch()), 0)
+
+    def _append(self, means, member: int):
+        for block, values in zip(TRACE_BLOCKS, means):
+            self.traces[block].append(float(values[member]))
 
     def __len__(self) -> int:
         return len(self.traces["lambda"])
@@ -440,23 +453,25 @@ def fit(data, hp, init_state=None):
     n_sweeps = 0
 
     while active:
-        sweep(stack, [datasets[b] for b in active], [hps[b] for b in active], workspace=ws)
+        members = [datasets[b] for b in active], [hps[b] for b in active]
+        sweep(stack, *members, workspace=ws)
         n_sweeps += 1
+        values = elbo(stack, *members)
+        means = _block_means(stack)
         staying = []
         for i, b in enumerate(active):
-            member = stack.member(i)
             trace = elbo_traces[b]
-            trace.append(elbo(member, datasets[b], hps[b]))
+            trace.append(float(values[i]))
             if len(trace) > 1 and trace[-2] - trace[-1] > ELBO_DECREASE_RTOL * abs(trace[-2]):
                 decreases[b] += 1
                 logger.warning(
                     "%siteration %d: elbo fell from %.6f to %.6f",
                     f"batch member {b}: " if batched else "",
-                    member.iteration,
+                    stack.iteration,
                     trace[-2],
                     trace[-1],
                 )
-            monitors[b].record(member)
+            monitors[b]._append(means, i)
             converged = False
             if monitors[b].ready():
                 last_checks[b] = check = check_convergence(monitors[b], hps[b])
@@ -464,7 +479,7 @@ def fit(data, hp, init_state=None):
                 logger.info(
                     "%siteration %d: elbo=%.6f p-values=%s",
                     f"batch member {b}: " if batched else "",
-                    member.iteration,
+                    stack.iteration,
                     trace[-1],
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
@@ -472,7 +487,7 @@ def fit(data, hp, init_state=None):
             if not (converged or n_sweeps >= hps[b].max_iter):
                 staying.append(i)
                 continue
-            final = member.copy()
+            final = stack.member(i).copy()
             check = last_checks[b]
             results[b] = final, FitReport(
                 converged=converged,
@@ -489,8 +504,8 @@ def fit(data, hp, init_state=None):
         if len(staying) < len(active):
             active = [active[i] for i in staying]
             if active:
-                stack = VariationalState.stack([stack.member(i) for i in staying])
-                ws = _Workspace([datasets[b] for b in active], [hps[b] for b in active])
+                stack = stack.take(staying)
+                ws = ws.take(staying)
 
     if not batched:
         return results[0]

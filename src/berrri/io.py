@@ -29,6 +29,7 @@ __all__ = [
     "write_table",
     "load_positions",
     "load_dataset",
+    "require_same_ids",
     "save_results",
     "save_simulation",
     "save_evaluation",
@@ -110,6 +111,30 @@ def load_matrix(path, kind: str) -> MatrixFile:
     return MatrixFile(values=values, row_ids=tuple(row_ids), col_ids=tuple(col_ids))
 
 
+def _first_mismatch(ids_a, ids_b) -> Optional[int]:
+    """The first position at which two ID lists differ (an ID that one list
+    lacks counts), or None when they are equal."""
+    if ids_a == ids_b:
+        return None
+    differing = (i for i, (a, b) in enumerate(zip(ids_a, ids_b)) if a != b)
+    return next(differing, min(len(ids_a), len(ids_b)))
+
+
+def require_same_ids(path_a, a: MatrixFile, path_b, b: MatrixFile):
+    """Raise unless two matrices list the same row IDs and the same column
+    IDs in the same order, naming both files, the first position that
+    differs and the ID each file has there."""
+    for axis, ids_a, ids_b in (("row", a.row_ids, b.row_ids), ("column", a.col_ids, b.col_ids)):
+        i = _first_mismatch(ids_a, ids_b)
+        if i is not None:
+            has_a = repr(ids_a[i]) if i < len(ids_a) else "none"
+            has_b = repr(ids_b[i]) if i < len(ids_b) else "none"
+            raise ValidationError(
+                f"{axis} IDs differ at {axis} {i + 1}: {path_a} has {has_a}, {path_b} has {has_b}; "
+                f"both files must list the same {axis}s in the same order"
+            )
+
+
 def _reject_repeats(path, ids, kind: str, where: str, start: int):
     """Raise on the first ID that occurs twice, naming both of its positions."""
     seen = {}
@@ -172,8 +197,8 @@ def load_dataset(
             f"genotype file has {len(gen.row_ids)} individuals but trait file has "
             f"{len(tr.row_ids)}; the row counts must match"
         )
-    if gen.row_ids != tr.row_ids:
-        i = next(i for i, (g, t) in enumerate(zip(gen.row_ids, tr.row_ids)) if g != t)
+    i = _first_mismatch(gen.row_ids, tr.row_ids)
+    if i is not None:
         raise ValidationError(
             f"individuals differ at data line {i + 2}: genotype file {genotype_path} has "
             f"{gen.row_ids[i]!r}, trait file {trait_path} has {tr.row_ids[i]!r}; both files "

@@ -74,6 +74,8 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
 
     Default thresholds are the unique observed scores in descending order,
     subsampled to at most 500 points.  Precision with zero predictions is 1.
+    The area is the step-wise average precision sum_i (r_i - r_{i-1}) p_i
+    over the thresholds, with r_0 = 0.
     """
     s = np.asarray(scores, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -101,8 +103,7 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
         n_pred = int(predicted.sum())
         precision[i] = tp / n_pred if n_pred else 1.0
         recall[i] = tp / positives
-    order = np.argsort(recall)
-    auc = float(np.trapezoid(precision[order], recall[order]))
+    auc = float(np.sum(np.diff(recall, prepend=0.0) * precision))
     return PRCurve(thresholds=t, precision=precision, recall=recall, auc=auc)
 
 

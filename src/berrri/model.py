@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, xlogy
 
 from .errors import EngineError, ValidationError
-from .types import Dataset, Hyperparameters, ModelPoint, VariationalState
+from .types import Dataset, Hyperparameters, ModelPoint, VariationalState, batch_members, shared_genotypes
 
 __all__ = ["log_joint", "elbo", "expected_log_joint", "expected_residual_ss", "entropy"]
 
@@ -55,73 +55,140 @@ def log_joint(point: ModelPoint, data: Dataset, hp: Hyperparameters) -> float:
     return float(total)
 
 
-def expected_residual_ss(state: VariationalState, data: Dataset) -> float:
+def _result(values: np.ndarray, state: VariationalState):
+    """Per-member values of a batch; the one value of a plain state as a float."""
+    return values if state.eta.ndim == 3 else float(values[0])
+
+
+def expected_residual_ss(state: VariationalState, data):
     """E_q ||Y - X Z A||_F^2 from K x P and K x K statistics.
 
     With M = X E[Z] (N x K) the expected residual is
     ||Y||^2 - 2 <phi, M^T Y> + <M^T M, phi phi^T> plus the variance terms,
-    so no N x P array is formed.
+    so no N x P array is formed.  A stacked state with one Dataset per
+    member (all sharing X) gives one value per member.
     """
-    X, Y, eta, phi = data.X, data.Y, state.eta, state.phi
-    M = X @ eta                                        # E[X Z], N x K
-    G = M.T @ M
-    x2sum = np.einsum("nq,nq->q", X, X)
-    V = x2sum @ (eta * (1.0 - eta))                    # sum_n Var[(X z_k)_n]
-    S = np.diag(G) + V                                 # sum_n E[(X z_k)_n^2]
+    batch, datasets, _ = batch_members(state, data)
+    return _result(_expected_residual_ss(batch, datasets), state)
+
+
+def _expected_residual_ss(batch: VariationalState, datasets) -> np.ndarray:
+    X, eta, phi = shared_genotypes(datasets), batch.eta, batch.phi
+    M = X @ eta                                        # E[X Z], B x N x K
+    G = M.transpose(0, 2, 1) @ M
+    V = np.einsum("nq,nq->q", X, X) @ (eta * (1.0 - eta))  # sum_n Var[(X z_k)_n]
+    S = np.diagonal(G, axis1=1, axis2=2) + V           # sum_n E[(X z_k)_n^2]
+    # the members' traits are read one at a time: stacking them would copy
+    # an N x P array per member
+    yy = np.empty(len(datasets))
+    MtY = np.empty(phi.shape)
+    for b, data in enumerate(datasets):
+        yy[b] = np.einsum("np,np->", data.Y, data.Y)
+        np.matmul(M[b].T, data.Y, out=MtY[b])
     rss = (
-        np.einsum("np,np->", Y, Y)
-        - 2.0 * np.einsum("kp,kp->", phi, M.T @ Y)
-        + np.einsum("kl,kl->", G, phi @ phi.T)
+        yy
+        - 2.0 * np.einsum("bkp,bkp->b", phi, MtY)
+        + np.einsum("bkl,bkl->b", G, phi @ phi.transpose(0, 2, 1))
     )
-    return float(rss + S @ state.varphi.sum(axis=1) + V @ (phi**2).sum(axis=1))
-
-
-def expected_log_joint(state: VariationalState, data: Dataset, hp: Hyperparameters) -> float:
-    """E_q[log p(W, Y | X, theta)] under the factorized posterior."""
-    N, P = data.Y.shape
-    K = state.k_max
-    sigma2 = hp.sigma2
-    a0 = hp.alpha / K
-
-    sq = expected_residual_ss(state, data)
-    e_lik = -0.5 * N * P * (LOG_2PI + math.log(sigma2)) - sq / (2.0 * sigma2)
-
-    e_log_pi = digamma(state.lam[:, 0]) - digamma(state.lam.sum(axis=1))
-    e_log_1mpi = digamma(state.lam[:, 1]) - digamma(state.lam.sum(axis=1))
-    e_z = float((state.eta * e_log_pi).sum() + ((1.0 - state.eta) * e_log_1mpi).sum())
-    e_pi = float(K * math.log(a0) + (a0 - 1.0) * e_log_pi.sum())
-
-    e_inv_delta = state.kappa[..., 0] / state.kappa[..., 1]
-    e_log_delta = np.log(state.kappa[..., 1]) - digamma(state.kappa[..., 0])
-    e_a2 = state.varphi + state.phi**2
-    e_a = float((-0.5 * (LOG_2PI + e_log_delta) - 0.5 * e_inv_delta * e_a2).sum())
-    e_delta = float(
-        (hp.c * math.log(hp.d) - gammaln(hp.c) - (hp.c + 1.0) * e_log_delta - hp.d * e_inv_delta).sum()
+    # matmul, not einsum, for the K-term dot products: it sums them in the
+    # order of a plain state's `S @ v`, so a batch of one keeps its bits
+    return (
+        rss
+        + (S[:, None] @ batch.varphi.sum(axis=2)[..., None])[:, 0, 0]
+        + (V[:, None] @ (phi**2).sum(axis=2)[..., None])[:, 0, 0]
     )
+
+
+def _digammas(batch: VariationalState):
+    """The digamma and log terms that the expected log joint and the entropy
+    share: psi(lam1), psi(lam2), psi(lam1 + lam2), psi(kappa1), log(kappa2)."""
+    lam1, lam2 = batch.lam[..., 0], batch.lam[..., 1]
+    return (
+        digamma(lam1), digamma(lam2), digamma(lam1 + lam2),
+        digamma(batch.kappa[..., 0]), np.log(batch.kappa[..., 1]),
+    )
+
+
+def expected_log_joint(state: VariationalState, data, hp):
+    """E_q[log p(W, Y | X, theta)] under the factorized posterior; one value
+    per member for a stacked state with sequences of datasets and
+    hyperparameters."""
+    batch, datasets, hps = batch_members(state, data, hp)
+    return _result(_expected_log_joint(batch, datasets, hps, _digammas(batch)), state)
+
+
+def _expected_log_joint(batch: VariationalState, datasets, hps, psi) -> np.ndarray:
+    N, P = datasets[0].Y.shape
+    K = batch.k_max
+    # the terms that depend on the hyperparameters alone, per member, in
+    # scalar arithmetic
+    lik0, two_sigma2, pi0, a0m1, delta0, c1, d = np.array([
+        (
+            -0.5 * N * P * (LOG_2PI + math.log(hp.sigma2)), 2.0 * hp.sigma2,
+            K * math.log(hp.alpha / K), hp.alpha / K - 1.0,
+            hp.c * math.log(hp.d) - gammaln(hp.c), hp.c + 1.0, hp.d,
+        )
+        for hp in hps
+    ]).T
+    psi1, psi2, psi12, psi_k1, log_k2 = psi
+
+    e_lik = lik0 - _expected_residual_ss(batch, datasets) / two_sigma2
+
+    e_log_pi = psi1 - psi12                            # B x K
+    e_log_1mpi = psi2 - psi12
+    eta = batch.eta
+    e_z = (
+        (eta * e_log_pi[:, None]).sum(axis=(1, 2))
+        + ((1.0 - eta) * e_log_1mpi[:, None]).sum(axis=(1, 2))
+    )
+    e_pi = pi0 + a0m1 * e_log_pi.sum(axis=1)
+
+    e_inv_delta = batch.kappa[..., 0] / batch.kappa[..., 1]
+    e_log_delta = log_k2 - psi_k1
+    e_a2 = batch.varphi + batch.phi**2
+    e_a = (-0.5 * (LOG_2PI + e_log_delta) - 0.5 * e_inv_delta * e_a2).sum(axis=(1, 2))
+    e_delta = (
+        delta0[:, None, None] - c1[:, None, None] * e_log_delta - d[:, None, None] * e_inv_delta
+    ).sum(axis=(1, 2))
     return e_lik + e_z + e_pi + e_a + e_delta
 
 
-def entropy(state: VariationalState) -> float:
-    """Entropy H[q] of the factorized posterior."""
-    lam1, lam2 = state.lam[:, 0], state.lam[:, 1]
-    h_pi = float(
-        (
-            betaln(lam1, lam2)
-            - (lam1 - 1.0) * digamma(lam1)
-            - (lam2 - 1.0) * digamma(lam2)
-            + (lam1 + lam2 - 2.0) * digamma(lam1 + lam2)
-        ).sum()
-    )
-    h_z = float(-(xlogy(state.eta, state.eta) + xlogy(1.0 - state.eta, 1.0 - state.eta)).sum())
-    h_a = float((0.5 * (LOG_2PI + 1.0 + np.log(state.varphi))).sum())
-    k1, k2 = state.kappa[..., 0], state.kappa[..., 1]
-    h_delta = float((k1 + np.log(k2) + gammaln(k1) - (1.0 + k1) * digamma(k1)).sum())
+def entropy(state: VariationalState):
+    """Entropy H[q] of the factorized posterior; one value per member of a
+    stacked state."""
+    batch = state if state.eta.ndim == 3 else state.as_batch()
+    return _result(_entropy(batch, _digammas(batch)), state)
+
+
+def _entropy(batch: VariationalState, psi) -> np.ndarray:
+    psi1, psi2, psi12, psi_k1, log_k2 = psi
+    lam1, lam2 = batch.lam[..., 0], batch.lam[..., 1]
+    h_pi = (
+        betaln(lam1, lam2) - (lam1 - 1.0) * psi1 - (lam2 - 1.0) * psi2 + (lam1 + lam2 - 2.0) * psi12
+    ).sum(axis=1)
+    eta = batch.eta
+    h_z = -(xlogy(eta, eta) + xlogy(1.0 - eta, 1.0 - eta)).sum(axis=(1, 2))
+    h_a = (0.5 * (LOG_2PI + 1.0 + np.log(batch.varphi))).sum(axis=(1, 2))
+    k1 = batch.kappa[..., 0]
+    h_delta = (k1 + log_k2 + gammaln(k1) - (1.0 + k1) * psi_k1).sum(axis=(1, 2))
     return h_pi + h_z + h_a + h_delta
 
 
-def elbo(state: VariationalState, data: Dataset, hp: Hyperparameters) -> float:
-    """Evidence lower bound E_q[log joint] + H[q]; finite for a valid state."""
-    value = expected_log_joint(state, data, hp) + entropy(state)
-    if not np.isfinite(value):
-        raise EngineError(f"ELBO is not finite ({value}); variational parameters are degenerate")
-    return float(value)
+def elbo(state: VariationalState, data, hp):
+    """Evidence lower bound E_q[log joint] + H[q]; finite for a valid state.
+
+    Takes one fit's state with its Dataset and Hyperparameters and returns a
+    float, or a stacked state (`VariationalState.stack`) with one Dataset
+    (all sharing X) and one Hyperparameters per member and returns one
+    value per member.
+    """
+    batch, datasets, hps = batch_members(state, data, hp)
+    psi = _digammas(batch)
+    values = _expected_log_joint(batch, datasets, hps, psi) + _entropy(batch, psi)
+    if not np.isfinite(values).all():
+        b = int(np.flatnonzero(~np.isfinite(values))[0])
+        member = f" for batch member {b}" if state.eta.ndim == 3 else ""
+        raise EngineError(
+            f"ELBO is not finite ({values[b]}){member}; variational parameters are degenerate"
+        )
+    return _result(values, state)

@@ -21,6 +21,8 @@ __all__ = [
     "PlantedTruth",
     "ModelPoint",
     "GENOTYPE_VALUES",
+    "batch_members",
+    "shared_genotypes",
 ]
 
 GENOTYPE_VALUES = (0.0, 1.0, 2.0)
@@ -211,6 +213,18 @@ class VariationalState:
             *(getattr(self, name)[b] for name in _STATE_ARRAYS), iteration=self.iteration
         )
 
+    def take(self, members) -> "VariationalState":
+        """The given members of a batch, copied into a new batch in that order."""
+        return VariationalState(
+            *(getattr(self, name)[members] for name in _STATE_ARRAYS), iteration=self.iteration
+        )
+
+    def as_batch(self) -> "VariationalState":
+        """A plain state as a batch of one whose arrays are views of its own."""
+        return VariationalState(
+            *(getattr(self, name)[None] for name in _STATE_ARRAYS), iteration=self.iteration
+        )
+
     def effective_k(self, threshold: float = 0.5) -> int:
         """Number of factors with at least one SNP inclusion above threshold."""
         return int((self.eta.max(axis=0) > threshold).sum())
@@ -247,6 +261,33 @@ class VariationalState:
             kappa=self.kappa.copy(),
             iteration=self.iteration,
         )
+
+
+def batch_members(state: VariationalState, data, hp=None):
+    """(batch, datasets, hyperparameters) of a plain or stacked state.
+
+    A plain state with its Dataset (and Hyperparameters) enters as a batch
+    of one; a stacked state brings sequences with one entry per member.
+    """
+    if state.eta.ndim == 2:
+        return state.as_batch(), [data], [hp]
+    datasets = list(data)
+    hps = [None] * len(datasets) if hp is None else list(hp)
+    if not len(state.eta) == len(datasets) == len(hps):
+        raise ValidationError(
+            f"a batch of {len(state.eta)} states needs as many datasets and hyperparameters, "
+            f"got {len(datasets)} and {len(hps)}"
+        )
+    return state, datasets, hps
+
+
+def shared_genotypes(datasets) -> np.ndarray:
+    """The genotype matrix that every dataset of a batch shares."""
+    X = datasets[0].X
+    for data in datasets[1:]:
+        if data.X is not X and not np.array_equal(data.X, X):
+            raise ValidationError("fits in one batch must share the genotype matrix")
+    return X
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,29 @@ class TestFit:
             outcomes.add((rep.iterations, rep.converged))
         assert {(50, True), (60, True), (65, False)} <= outcomes
 
+    def test_batch_members_with_own_hyperparameters_match_serial_fits(self):
+        # members differ in sigma2, alpha, c and d and leave the batch at
+        # different sweeps (30, 45 and 60)
+        data, _ = simulate(SimConfig(n_individuals=50, n_snps=10, n_traits=5, k_true=2, seed=8))
+        datasets = [permute_labels(data, j) for j in range(3)]
+        hps = [
+            Hyperparameters(
+                k_max=3, seed=j, sigma2=s2, alpha=a, c=c, d=d,
+                burn_in=0, check_interval=1000, max_iter=it,
+            )
+            for j, (s2, a, c, d, it) in enumerate(
+                ((1.0, 1.0, 1.0, 1.0, 30), (0.6, 2.5, 0.3, 1.7, 60), (1.8, 0.4, 2.2, 0.05, 45))
+            )
+        ]
+        states, reports = fit(datasets, hps)
+        assert [rep.iterations for rep in reports] == [30, 60, 45]
+        for d, h, st, rep in zip(datasets, hps, states, reports):
+            alone, alone_rep = fit(d, h)
+            assert rep.iterations == alone_rep.iterations == st.iteration
+            assert np.allclose(st.eta, alone.eta, rtol=0, atol=1e-10)
+            assert np.allclose(st.phi, alone.phi, rtol=0, atol=1e-10)
+            assert np.allclose(rep.elbo_trace, alone_rep.elbo_trace, rtol=1e-12, atol=0)
+
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
         other, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=3))
@@ -233,7 +256,7 @@ class TestFit:
         # drops of 1e-6 and 1 relative count; a 1e-9 relative dip, ties and rises do not
         values = [-100.0, -99.0, -99.0001, -99.0001, -99.0001001, -98.0, -196.0, -195.0]
         calls = iter(values)
-        monkeypatch.setattr(berrri.engine, "elbo", lambda state, data, hp: next(calls))
+        monkeypatch.setattr(berrri.engine, "elbo", lambda state, data, hp: np.full(len(data), next(calls)))
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=1))
         hp = Hyperparameters(k_max=2, burn_in=5, check_interval=100, max_iter=len(values))
         with caplog.at_level(logging.WARNING, logger="berrri"):

@@ -233,6 +233,22 @@ class TestCli:
         assert float(metrics["rss_insample"]) == 0.0
         assert "pr_auc" in metrics
 
+    def test_eval_rejects_pairs_whose_ids_differ(self, tmp_path, capsys):
+        scores = write_matrix(tmp_path / "s.tsv", [[0.9, 0.1], [0.2, 0.8]], ["q0", "q1"], ["p0", "p1"])
+        mask = write_matrix(tmp_path / "m.tsv", [[1, 0], [0, 1]], ["q0", "q1"], ["p0", "p1"])
+        swapped = write_matrix(tmp_path / "w.tsv", [[0, 1], [1, 0]], ["q1", "q0"], ["p0", "p1"])
+        for out, mask_file, status in (("ok", mask, 0), ("bad", swapped, 1)):
+            argv = ["eval", "--out-dir", str(tmp_path / out), "--scores", str(scores), "--mask", str(mask_file)]
+            assert run(argv) == status
+        err = capsys.readouterr().err
+        assert f"row 1: {scores} has 'q0', {swapped} has 'q1'" in err
+        renamed = write_matrix(tmp_path / "r.tsv", [[0.9, 0.1], [0.2, 0.8]], ["q0", "q1"], ["p0", "px"])
+        status = run([
+            "eval", "--out-dir", str(tmp_path / "rss"), "--rss", "x", str(scores), str(renamed),
+        ])
+        assert status == 1
+        assert f"column 2: {scores} has 'p1', {renamed} has 'px'" in capsys.readouterr().err
+
     def test_unknown_flag_exits_nonzero_with_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--does-not-exist"])

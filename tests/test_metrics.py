@@ -50,6 +50,9 @@ class TestPrecisionRecall:
         mask = np.array([[1, 0], [0, 1]], dtype=bool)
         curve = precision_recall(mask.astype(float), mask, thresholds=[0.5])
         assert curve.precision[0] == 1.0 and curve.recall[0] == 1.0
+        assert curve.auc == 1.0
+        # default thresholds {1, 0}: the second adds recall 0 at precision 1/2
+        assert precision_recall(mask.astype(float), mask).auc == 1.0
 
     def test_predict_everything(self):
         rng = np.random.default_rng(0)
@@ -71,6 +74,8 @@ class TestPrecisionRecall:
         # t=0.05: all 9: tp 4 fp 5 -> p=4/9, r=1
         assert np.allclose(curve.precision, [1.0, 2 / 3, 3 / 5, 4 / 9])
         assert np.allclose(curve.recall, [0.25, 0.5, 0.75, 1.0])
+        # step-wise average precision: each recall step of 1/4 at its precision
+        assert curve.auc == pytest.approx(0.25 * (1 + 2 / 3 + 3 / 5 + 4 / 9), rel=1e-12)
 
     def test_default_thresholds_subsampled_and_decreasing(self):
         rng = np.random.default_rng(1)

@@ -6,7 +6,7 @@ import pytest
 
 from berrri import Dataset, Hyperparameters, ValidationError, elbo, fit, log_joint
 from berrri.model import entropy, expected_log_joint, expected_residual_ss
-from berrri.types import ModelPoint
+from berrri.types import ModelPoint, VariationalState
 
 from conftest import micro_instance, random_state
 from oracles import elbo_enum, log_joint_by_hand, log_marginal_quad
@@ -115,18 +115,56 @@ class TestElbo:
         n = p = 400
         q, k = 40, 8
         rng = np.random.default_rng(0)
-        data = Dataset(X=rng.integers(0, 3, size=(n, q)).astype(float), Y=rng.normal(size=(n, p)))
+        X = rng.integers(0, 3, size=(n, q)).astype(float)
+        datasets = [Dataset(X=X, Y=rng.normal(size=(n, p))) for _ in range(3)]
         hp = Hyperparameters(k_max=k)
-        state = random_state(q, p, k)
-        elbo(state, data, hp)  # warm-up, so one-time allocations are not counted
-        tracemalloc.start()
-        try:
-            elbo(state, data, hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # an explicit residual Y - M @ phi alone would take one whole N x P array
-        assert peak < n * p * 8 / 4
+        states = [random_state(q, p, k, seed=b) for b in range(3)]
+        # one fit, and a batch of three that shares X
+        for members, args in (
+            (1, (states[0], datasets[0], hp)),
+            (3, (VariationalState.stack(states), datasets, [hp] * 3)),
+        ):
+            elbo(*args)  # warm-up, so one-time allocations are not counted
+            tracemalloc.start()
+            try:
+                elbo(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # an explicit residual Y - M @ phi alone would take one whole
+            # N x P array per member; the K x P temporaries scale with the
+            # batch, so the bound is a quarter of that per member
+            assert peak < members * n * p * 8 / 4
+
+    def test_batch_gives_each_members_value(self):
+        # members differ in traits, state and every per-fit hyperparameter
+        data, _, _ = micro_instance(n=6, q=5, p=4, k=3, seed=60)
+        rng = np.random.default_rng(61)
+        datasets = [data] + [Dataset(X=data.X, Y=rng.normal(size=data.Y.shape)) for _ in range(2)]
+        hps = [
+            Hyperparameters(k_max=3, sigma2=s2, alpha=a, c=c, d=d)
+            for s2, a, c, d in ((1.0, 1.0, 1.0, 1.0), (0.6, 2.5, 0.3, 1.7), (1.9, 0.4, 2.2, 0.05))
+        ]
+        states = [random_state(q=5, p=4, k=3, seed=62 + b) for b in range(3)]
+        batch = VariationalState.stack(states)
+        for fn, args, member_args in (
+            (elbo, (batch, datasets, hps), zip(states, datasets, hps)),
+            (expected_log_joint, (batch, datasets, hps), zip(states, datasets, hps)),
+            (expected_residual_ss, (batch, datasets), zip(states, datasets)),
+            (entropy, (batch,), zip(states)),
+        ):
+            got = fn(*args)
+            assert got.shape == (3,)
+            assert np.allclose(got, [fn(*m) for m in member_args], rtol=1e-12, atol=0), fn.__name__
+
+    def test_batch_needs_shared_genotypes_and_one_entry_per_member(self):
+        data, hp, state = micro_instance(n=6, q=5, p=4, k=2, seed=63)
+        other, _, _ = micro_instance(n=6, q=5, p=4, k=2, seed=64)
+        batch = VariationalState.stack([state, state])
+        with pytest.raises(ValidationError, match="share the genotype matrix"):
+            elbo(batch, [data, other], [hp, hp])
+        with pytest.raises(ValidationError, match="as many datasets"):
+            elbo(batch, [data], [hp])
 
     def test_decomposition_is_additive(self):
         data, hp, state = micro_instance(seed=5)
