@@ -136,19 +136,17 @@ def run_permutation_fdr(
     """Fit on real data, refit on permuted data, pool a global null, threshold.
 
     Returns (AssociationScores, VariationalState, FitReport) for the real fit.
-    The real fit runs on its own, exactly as `fit` would run it; the
-    permutation refits reuse the same hyperparameters with per-permutation
-    derived seeds and run as one batch (their scores may differ from
-    one-by-one refits in the last bits).  A non-converged permutation fit is
-    kept (with a warning) since its scores are still valid null draws.
+    The real fit and the permutation refits run as one batch: the real fit
+    is batch member 0 and permutation j is member j + 1.  The refits reuse
+    the same hyperparameters with per-permutation derived seeds.  Every
+    member's result is bit for bit that of its fit on its own, so the real
+    fit equals `fit(data, hp)` exactly; its report's wall_seconds counts the
+    whole batch until it stopped.  A non-converged permutation fit is kept
+    (with a warning) since its scores are still valid null draws.
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
     _check_fdr_target(fdr_target)
-    state, report = fit(data, hp)
-    signed = vmap_signed(state)
-    scores = np.abs(signed)
-
     shuffled = [
         permute_labels(data, child_rng(hp.seed, "fdr-permutation", j)) for j in range(n_permutations)
     ]
@@ -156,20 +154,24 @@ def run_permutation_fdr(
         replace(hp, seed=int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0]))
         for j in range(n_permutations)
     ]
-    perm_states, perm_reports = fit(shuffled, perm_hps)
+    (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], [hp, *perm_hps])
+    signed = vmap_signed(state)
+    scores = np.abs(signed)
     for j, perm_report in enumerate(perm_reports):
         logger.info(
-            "permutation %d: %s after %d iterations, final elbo %.6f",
+            "permutation %d (batch member %d): %s after %d iterations, final elbo %.6f",
             j,
+            j + 1,
             "converged" if perm_report.converged else "stopped",
             perm_report.iterations,
             perm_report.final_elbo,
         )
         if not perm_report.converged:
             logger.warning(
-                "permutation %d did not converge in %d iterations; "
+                "permutation %d (batch member %d) did not converge in %d iterations; "
                 "its scores are kept as null draws",
                 j,
+                j + 1,
                 perm_report.iterations,
             )
     null = np.concatenate([vmap(s).ravel() for s in perm_states])

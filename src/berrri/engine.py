@@ -10,13 +10,15 @@ factors couple through the shared residual.
 Convergence is judged from per-block scalar traces with a Geweke-style
 two-segment test, checked at a fixed iteration cadence after burn-in.
 
-Fits that share the genotype matrix X (permutation refits) run as one batch:
-the state carries a leading batch axis, and so does every block.  The
-inclusion kernel updates every member at once with one (B x Q)(Q x N)
-product per SNP; lambda, the factor residuals, the effect sizes and the ARD
-variances are array operations over the batch axis, and `fit` evaluates
-the ELBO and the trace means of all members with one call each.  A single
-fit is the batch of one.
+Fits that share the genotype matrix X (a real fit and its permutation
+refits) run as one batch: the state carries a leading batch axis, and so
+does every block.  The inclusion kernel shares each SNP step's genotype
+column product across the batch; lambda, the factor residuals, the effect
+sizes and the ARD variances are array operations over the batch axis, and
+`fit` evaluates the ELBO and the trace means of all members with one call
+each.  A single fit is the batch of one.  Every product is formed per member
+(stacked `matmul`), never as one BLAS call across members, so a member's
+result is bit for bit that of the same fit run on its own.
 """
 
 import copy
@@ -205,8 +207,9 @@ def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndar
     """Effect-size row k of every member, given the expected loads M (B x N x K)."""
     eta_k = batch.eta[:, :, k]
     M_k = M[:, :, k]
-    S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + (eta_k * (1.0 - eta_k)) @ ws.x2sum
-    # matmul form, so a batch of one computes `M[:, k] @ R` bit for bit
+    # per-member matmul forms, so a member's bits do not depend on its batch
+    var_k = np.matmul((eta_k * (1.0 - eta_k))[:, None, :], ws.x2sum)[:, 0]
+    S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + var_k
     MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws.Y, M, batch.phi, k, ws.residual))[:, 0]
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / ws.sigma2)[:, None]
@@ -394,6 +397,10 @@ def check_convergence(monitor: TraceMonitor, hp: Hyperparameters) -> Convergence
 
 @dataclass(frozen=True)
 class FitReport:
+    """How one fit went.  wall_seconds runs from the start of `fit` until
+    the fit stopped; for a member of a batch it counts the whole batch's
+    work until that member stopped, not the member's share of it."""
+
     converged: bool
     iterations: int
     final_elbo: float

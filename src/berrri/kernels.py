@@ -1,9 +1,14 @@
 """The SNP-inclusion kernel: one factor's sequential inclusion updates for a
 batch of B fits that share the genotype matrix.
 
-The expected factor load is rebuilt from all Q SNPs for every SNP (the
-method's published per-sweep cost is quadratic in the SNP count), and for the
-whole batch at once: one (B x Q)(Q x N) product per SNP.
+At SNP q the load term x_q' X E[z_k] (SNP q excluded) is computed as
+g . E[z_k] with g = X' x_q, the product of SNP q's genotype column with
+every column.  g is recomputed at every step, so one fit costs one Q x N
+product per SNP (the method's published per-sweep cost, quadratic in the
+SNP count), and the whole batch shares it: each member adds only a
+length-Q dot product.  No call sums across members, so each member's bits
+do not depend on which other members share its batch; a member of a batch
+gives exactly the result of a fit on its own.
 
 `eta_factor_terms` and `eta_snp_update` take one fit as vectors (E of length
 Q, U of length N, scalar coefficients) or a batch as matrices (E of B x Q, U
@@ -26,21 +31,25 @@ def eta_factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2):
     the load term (scalar, or length B).
     """
     coef = sa2 * inv_sigma2
-    offset = np.multiply.outer(x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * (XT @ U.T)
+    # one Q x N matrix-vector product per member, never one across members
+    XU = np.matmul(XT, U[..., None])[..., 0].T
+    offset = np.multiply.outer(x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * XU
     return offset, coef
 
 
-def eta_snp_update(E, XT, q, offset_q, coef, load=None):
+def eta_snp_update(E, XT, q, offset_q, coef, g=None):
     """Update the inclusion probability of SNP q (column q of E) in place.
 
-    The expected load of the other SNPs is rebuilt in full with that column
-    zeroed (into `load`, N or B x N, if given), then the column is set to the
-    sigmoid of the logits, which are returned (a non-finite logit is left for
-    the caller to report).
+    The column product g = XT @ XT[q] is computed (into `g`, length Q, if
+    given), the column is zeroed and each member's load term is its dot
+    product with g; the column is then set to the sigmoid of the logits,
+    which are returned (a non-finite logit is left for the caller to report).
     """
+    g = np.dot(XT, XT[q], out=g)
     column = E.T
     column[q] = 0.0
-    zeta = offset_q - coef * np.dot(np.dot(E, XT, out=load), XT[q])
+    load = np.dot(E, g) if E.ndim == 1 else np.matmul(E[:, None, :], g)[:, 0]
+    zeta = offset_q - coef * load
     column[q] = expit(zeta)
     return zeta
 
@@ -60,9 +69,9 @@ def eta_factor_sweep(XT, x2sum, E, U, prior_logit, sa2, inv_sigma2):
         args = tuple(a[0] for a in args)
     offset, coef = eta_factor_terms(XT, x2sum, *args[1:])
     zeta = np.empty_like(offset)
-    load = np.empty(args[0].shape[:-1] + XT.shape[1:])
+    g = np.empty(len(XT))
     for q in range(len(XT)):
-        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef, load)
+        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef, g)
     if np.isfinite(zeta).all():
         return None
     b, q = np.argwhere(~np.isfinite(zeta.reshape(len(XT), -1).T))[0]

@@ -159,11 +159,27 @@ class TestRunPermutationFdr:
         perm_seed = int(child_seed_sequence(hp.seed, "fdr-fit", 0).generate_state(1)[0])
         perm_state, _ = fit(shuffled, hp.with_(seed=perm_seed))
         manual_null = vmap(perm_state).ravel()
-        assert np.allclose(np.sort(scores.null_scores), np.sort(manual_null))
+        assert np.array_equal(scores.null_scores, manual_null)
         manual_thr = fdr_threshold(vmap(state).ravel(), manual_null, 0.1)
         assert scores.threshold == manual_thr or (
             scores.threshold is None and manual_thr is None
         )
+
+    def test_real_fit_equals_fit_on_its_own(self):
+        # the real fit shares its batch with the permutation refits, which
+        # leave it at other sweeps (65 for the real fit, [65, 50, 50] for
+        # the permutations); it must still equal `fit` exactly
+        data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=4))
+        hp = Hyperparameters(k_max=4, seed=2, burn_in=0, check_interval=10, max_iter=65)
+        scores, state, report = run_permutation_fdr(data, hp, n_permutations=3)
+        alone, alone_report = fit(data, hp)
+        assert sorted({r.iterations for r in scores.permutation_reports}) == [50, 65]
+        for name in ("lam", "eta", "phi", "varphi", "kappa"):
+            assert np.array_equal(getattr(state, name), getattr(alone, name)), name
+        assert state.iteration == alone.iteration
+        for name in ("elbo_trace", "final_elbo", "iterations", "converged", "p_values", "k_effective"):
+            assert getattr(report, name) == getattr(alone_report, name), name
+        assert np.array_equal(scores.vmap, vmap(alone))
 
     def test_deterministic(self):
         data, _, hp = self._small(seed=1)

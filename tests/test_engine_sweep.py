@@ -196,8 +196,9 @@ class TestFit:
             assert (rep.iterations, rep.converged) == (alone_rep.iterations, alone_rep.converged)
             assert rep.n_checks == alone_rep.n_checks
             assert st.iteration == rep.iterations == len(rep.elbo_trace)
-            assert np.allclose(st.eta, alone.eta, rtol=0, atol=1e-10)
-            assert np.allclose(st.phi, alone.phi, rtol=0, atol=1e-10)
+            assert np.array_equal(st.eta, alone.eta)
+            assert np.array_equal(st.phi, alone.phi)
+            assert rep.elbo_trace == alone_rep.elbo_trace
             outcomes.add((rep.iterations, rep.converged))
         assert {(50, True), (60, True), (65, False)} <= outcomes
 
@@ -220,9 +221,9 @@ class TestFit:
         for d, h, st, rep in zip(datasets, hps, states, reports):
             alone, alone_rep = fit(d, h)
             assert rep.iterations == alone_rep.iterations == st.iteration
-            assert np.allclose(st.eta, alone.eta, rtol=0, atol=1e-10)
-            assert np.allclose(st.phi, alone.phi, rtol=0, atol=1e-10)
-            assert np.allclose(rep.elbo_trace, alone_rep.elbo_trace, rtol=1e-12, atol=0)
+            assert np.array_equal(st.eta, alone.eta)
+            assert np.array_equal(st.phi, alone.phi)
+            assert rep.elbo_trace == alone_rep.elbo_trace
 
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))

@@ -49,14 +49,22 @@ class TestEtaKernel:
         assert np.mean(unsaturated) > 0.5  # the comparison is not between saturated values
 
     def test_batch_rows_match_single_fits(self):
-        XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(n=30, q=20, b=6, seed=7)
-        batch = E.copy()
-        eta_factor_sweep(XT, x2sum, batch, U, prior, sa2, inv_s2)
-        for i in range(len(E)):
-            single = E[i:i + 1].copy()
-            one = slice(i, i + 1)
-            eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2[one])
-            assert np.allclose(batch[i], single[0], rtol=1e-13, atol=1e-15)
+        # at each shape a product formed across members (one GEMM for the
+        # batch) rounds differently from the members' own products
+        for n, q in ((30, 20), (25, 25), (300, 50)):
+            XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(n=n, q=q, b=6, seed=7)
+            batch = E.copy()
+            eta_factor_sweep(XT, x2sum, batch, U, prior, sa2, inv_s2)
+            for i in range(len(E)):
+                single = E[i:i + 1].copy()
+                one = slice(i, i + 1)
+                eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2[one])
+                assert np.array_equal(batch[i], single[0]), (n, q, i)
+            # a sub-batch of other members, in another order
+            sub = [4, 1, 3]
+            part = E[sub].copy()
+            eta_factor_sweep(XT, x2sum, part, U[sub], prior[sub], sa2[sub], inv_s2[sub])
+            assert np.array_equal(part, batch[sub]), (n, q)
 
     def test_snp_steps_compose_to_factor_sweep(self):
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=4)
