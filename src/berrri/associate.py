@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine
 from .engine import fit
 from .errors import ValidationError
 from .streams import child_rng, child_seed_sequence
@@ -136,13 +137,15 @@ def run_permutation_fdr(
     """Fit on real data, refit on permuted data, pool a global null, threshold.
 
     Returns (AssociationScores, VariationalState, FitReport) for the real fit.
-    The real fit and the permutation refits run as one batch: the real fit
-    is batch member 0 and permutation j is member j + 1.  The refits reuse
-    the same hyperparameters with per-permutation derived seeds.  Every
-    member's result is bit for bit that of its fit on its own, so the real
-    fit equals `fit(data, hp)` exactly; its report's wall_seconds counts the
-    whole batch until it stopped.  A non-converged permutation fit is kept
-    (with a warning) since its scores are still valid null draws.
+    The real fit and the permutation refits run as one batch of one model:
+    the real fit is batch member 0 and permutation j is member j + 1.  The
+    members share `hp` and differ only in their traits and their initial
+    state; permutation j starts from `initial_state` under its own derived
+    seed.  Every member's result is bit for bit that of its fit on its own,
+    so the real fit equals `fit(data, hp)` exactly; its report's
+    wall_seconds counts the whole batch until it stopped.  A non-converged
+    permutation fit is kept (with a warning) since its scores are still
+    valid null draws.
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -150,11 +153,11 @@ def run_permutation_fdr(
     shuffled = [
         permute_labels(data, child_rng(hp.seed, "fdr-permutation", j)) for j in range(n_permutations)
     ]
-    perm_hps = [
-        replace(hp, seed=int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0]))
-        for j in range(n_permutations)
-    ]
-    (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], [hp, *perm_hps])
+    starts = [engine.initial_state(data, hp)]
+    for j, d in enumerate(shuffled):
+        seed = int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0])
+        starts.append(engine.initial_state(d, replace(hp, seed=seed)))
+    (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], hp, starts)
     signed = vmap_signed(state)
     scores = np.abs(signed)
     for j, perm_report in enumerate(perm_reports):

@@ -10,18 +10,19 @@ factors couple through the shared residual.
 Convergence is judged from per-block scalar traces with a Geweke-style
 two-segment test, checked at a fixed iteration cadence after burn-in.
 
-Fits that share the genotype matrix X (a real fit and its permutation
-refits) run as one batch: the state carries a leading batch axis, and so
-does every block.  The inclusion kernel shares each SNP step's genotype
-column product across the batch; lambda, the factor residuals, the effect
-sizes and the ARD variances are array operations over the batch axis, and
-`fit` evaluates the ELBO and the trace means of all members with one call
-each.  A single fit is the batch of one.  Every product is formed per member
-(stacked `matmul`), never as one BLAS call across members, so a member's
-result is bit for bit that of the same fit run on its own.
+Fits of one model that share the genotype matrix X (a real fit and its
+permutation refits) run as one batch under one set of hyperparameters: the
+members differ only in their traits and their initial state.  The state
+carries a leading batch axis, and so does every block.  The inclusion
+kernel shares each SNP step's genotype column product across the batch;
+lambda, the factor residuals, the effect sizes and the ARD variances are
+array operations over the batch axis, and `fit` evaluates the ELBO and the
+trace means of all members with one call each.  A single fit is the batch
+of one.  Every product is formed per member (stacked `matmul`), never as
+one BLAS call across members, so a member's result is bit for bit that of
+the same fit run on its own.
 """
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -85,42 +86,28 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     varphi = np.ones((K, P))
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
     _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
-    ws = _Workspace([data], [hp])
+    ws = _Workspace([data])
     batch = state.as_batch()
     M = ws.X @ batch.eta
     for k in range(K):
-        _A_factor_update(batch, ws, k, M)
+        _A_factor_update(batch, ws, hp.sigma2, k, M)
     _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
     return state
 
 
 class _Workspace:
     """Constants of one batch of fits: the genotype matrix they share, its
-    transpose and column sums of squares, their traits stacked B x N x P,
-    and the hyperparameters that may differ between members, as length-B
-    arrays."""
+    transpose and column sums of squares, and their traits stacked B x N x P."""
 
-    def __init__(self, datasets, hps):
+    def __init__(self, datasets):
         self.X = shared_genotypes(datasets)
         self.XT = np.ascontiguousarray(self.X.T)
         self.x2sum = (self.X**2).sum(axis=0)
         # a fit on its own holds a view of its traits, not a stacked copy
         self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
-        self.sigma2, self.alpha, self.c, self.d = (
-            np.array([getattr(hp, name) for hp in hps]) for name in ("sigma2", "alpha", "c", "d")
-        )
         # scratch for the members' N x P residuals: reused for every factor,
         # so a sweep allocates (and page-faults) no N x P temporaries
         self.residual = np.empty(self.Y.shape)
-
-    def take(self, members) -> "_Workspace":
-        """The workspace of the given members, sharing the genotype constants."""
-        ws = copy.copy(self)
-        ws.Y, ws.sigma2, ws.alpha, ws.c, ws.d = (
-            a[members] for a in (self.Y, self.sigma2, self.alpha, self.c, self.d)
-        )
-        ws.residual = np.empty(ws.Y.shape)
-        return ws
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +119,7 @@ class _Workspace:
 
 def _lambda_update(lam, eta, alpha, k: int):
     """Beta parameters of stick weight k from the inclusion means, for one
-    fit (alpha a scalar) or a batch (alpha of length B)."""
+    fit or for every member of a batch."""
     eta_k = eta[..., k]
     lam[..., k, 0] = alpha / eta.shape[-1] + eta_k.sum(axis=-1)
     lam[..., k, 1] = 1.0 + (1.0 - eta_k).sum(axis=-1)
@@ -175,13 +162,13 @@ def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
     )
 
 
-def _eta_factor_update(batch: VariationalState, ws: _Workspace, k: int):
+def _eta_factor_update(batch: VariationalState, ws: _Workspace, sigma2: float, k: int):
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
     U, prior_logit, sa2 = _eta_factor_inputs(batch, ws.X, ws.Y, k, ws.residual)
     E = np.ascontiguousarray(batch.eta[:, :, k])
-    bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / ws.sigma2)
+    bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / sigma2)
     if bad is not None:
         raise _nonfinite_logit(k, bad[1], bad[0], len(E))
     batch.eta[:, :, k] = E
@@ -203,7 +190,7 @@ def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: i
     return state.eta[q, k]
 
 
-def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndarray):
+def _A_factor_update(batch: VariationalState, ws: _Workspace, sigma2: float, k: int, M: np.ndarray):
     """Effect-size row k of every member, given the expected loads M (B x N x K)."""
     eta_k = batch.eta[:, :, k]
     M_k = M[:, :, k]
@@ -212,11 +199,11 @@ def _A_factor_update(batch: VariationalState, ws: _Workspace, k: int, M: np.ndar
     S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + var_k
     MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws.Y, M, batch.phi, k, ws.residual))[:, 0]
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
-    precision = e_inv_delta + (S_k / ws.sigma2)[:, None]
+    precision = e_inv_delta + (S_k / sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):
         raise EngineError(f"effect-size precision for factor {k} is not positive definite")
     batch.varphi[:, k] = 1.0 / precision
-    batch.phi[:, k] = MR_k / ws.sigma2[:, None] * batch.varphi[:, k]
+    batch.phi[:, k] = MR_k / sigma2 * batch.varphi[:, k]
 
 
 def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int):
@@ -226,7 +213,7 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     the returned variance vector is the diagonal of the posterior covariance.
     """
     batch = state.as_batch()
-    _A_factor_update(batch, _Workspace([data], [hp]), k, data.X @ batch.eta)
+    _A_factor_update(batch, _Workspace([data]), hp.sigma2, k, data.X @ batch.eta)
     return state.phi[k].copy(), state.varphi[k].copy()
 
 
@@ -246,43 +233,38 @@ def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
 def sweep(
     state: VariationalState,
     data,
-    hp,
+    hp: Hyperparameters,
     *,
-    order=None,
     workspace: Optional[_Workspace] = None,
 ) -> VariationalState:
     """One full coordinate pass in block order lambda, eta, A, kappa.
 
-    `state` is one fit's state with its Dataset and Hyperparameters, or a
-    batch (`VariationalState.stack`) with one Dataset and one Hyperparameters
-    per member, all datasets sharing X.  Every block updates the whole batch
-    at once: lambda, the inclusion kernel and the effect sizes factor by
-    factor, the ARD variances in one step.  `order` overrides the factor
-    processing sequence (default ascending).  The result equals, to
-    round-off, the public updates composed in the same order
-    (`update_lambda`, `update_eta` per SNP, `update_A`, `update_kappa` per
-    entry).
+    `state` is one fit's state with its Dataset, or a batch
+    (`VariationalState.stack`) with one Dataset per member, all datasets
+    sharing X; the whole batch runs under the one set of hyperparameters
+    `hp`.  Every block updates the whole batch at once: lambda, the
+    inclusion kernel and the effect sizes factor by factor, the ARD
+    variances in one step.  The result equals, to round-off, the public
+    updates composed in the same order (`update_lambda`, `update_eta` per
+    SNP, `update_A`, `update_kappa` per entry).
     """
-    batch, datasets, hps = batch_members(state, data, hp)
-    ws = workspace if workspace is not None else _Workspace(datasets, hps)
+    batch, datasets = batch_members(state, data)
+    ws = workspace if workspace is not None else _Workspace(datasets)
     K = state.k_max
-    factor_order = range(K) if order is None else [int(k) for k in order]
-    if order is not None and sorted(factor_order) != list(range(K)):
-        raise ValidationError(f"order must be a permutation of 0..{K - 1}")
 
     # lambda factor by factor: a whole-array sum over the SNP axis would
     # round differently from one fit's per-factor sums
-    for k in factor_order:
-        _lambda_update(batch.lam, batch.eta, ws.alpha, k)
+    for k in range(K):
+        _lambda_update(batch.lam, batch.eta, hp.alpha, k)
 
-    for k in factor_order:
-        _eta_factor_update(batch, ws, k)
+    for k in range(K):
+        _eta_factor_update(batch, ws, hp.sigma2, k)
 
     M = ws.X @ batch.eta
-    for k in factor_order:
-        _A_factor_update(batch, ws, k, M)
+    for k in range(K):
+        _A_factor_update(batch, ws, hp.sigma2, k, M)
 
-    _kappa_update(batch.kappa, batch.varphi, batch.phi, ws.c[:, None, None], ws.d[:, None, None])
+    _kappa_update(batch.kappa, batch.varphi, batch.phi, hp.c, hp.d)
 
     state.iteration += 1
     return state
@@ -413,34 +395,35 @@ class FitReport:
     elbo_decreases: int
 
 
-def fit(data, hp, init_state=None):
+def fit(data, hp: Hyperparameters, init_state=None):
     """Run coordinate ascent until the trace monitor converges or max_iter.
 
-    Fits one Dataset under its Hyperparameters and returns (state, report).
-    Given sequences of Datasets that share X, of Hyperparameters and, if
-    any, of initial states, fits them as one batch and returns the list of
-    states and the list of reports; each member stops at its own converged
-    check or its own max_iter.  Deterministic for a given (data, hp, seed):
-    identical runs produce identical parameter traces and reports.
-    Non-convergence at max_iter is reported, not raised.  Every update
-    should raise the ELBO, so each sweep that lowers it by more than
-    ELBO_DECREASE_RTOL of its previous value is logged as a warning and
-    counted in the report's elbo_decreases.
+    Fits one Dataset and returns (state, report).  Given a sequence of
+    Datasets that share X and, if any, a sequence of initial states, fits
+    them as one batch under the one set of hyperparameters `hp` and returns
+    the list of states and the list of reports; each member stops at its
+    own converged check, and those still running stop at max_iter.  A
+    member's start is `initial_state(data, hp)` unless given, so members
+    that should start apart are given their own initial states.
+    Deterministic for a given (data, hp, seed): identical runs produce
+    identical parameter traces and reports.  Non-convergence at max_iter is
+    reported, not raised.  Every update should raise the ELBO, so each sweep
+    that lowers it by more than ELBO_DECREASE_RTOL of its previous value is
+    logged as a warning and counted in the report's elbo_decreases.
     """
     start = perf_counter()
     batched = not isinstance(data, Dataset)
     datasets = list(data) if batched else [data]
-    hps = list(hp) if batched else [hp]
     B = len(datasets)
     inits = [None] * B if init_state is None else list(init_state) if batched else [init_state]
-    if B == 0 or not len(hps) == len(inits) == B:
+    if B == 0 or len(inits) != B:
         raise ValidationError(
-            f"a batch needs one hyperparameter set and initial state per dataset, got "
-            f"{B} datasets, {len(hps)} hyperparameter sets and {len(inits)} initial states"
+            f"a batch needs one initial state per dataset, got {B} datasets and "
+            f"{len(inits)} initial states"
         )
     states = []
-    for d, h, init in zip(datasets, hps, inits):
-        state = init.copy() if init is not None else initial_state(d, h)
+    for d, init in zip(datasets, inits):
+        state = init.copy() if init is not None else initial_state(d, hp)
         state.validate()
         if state.n_snps != d.n_snps or state.n_traits != d.n_traits:
             raise ValidationError(
@@ -448,8 +431,8 @@ def fit(data, hp, init_state=None):
                 f"{d.n_snps} x {d.n_traits}"
             )
         states.append(state)
-    ws = _Workspace(datasets, hps)
-    monitors = [TraceMonitor(burn_in=h.burn_in, check_interval=h.check_interval) for h in hps]
+    ws = _Workspace(datasets)
+    monitors = [TraceMonitor(hp.burn_in, hp.check_interval) for _ in range(B)]
     elbo_traces = [[] for _ in range(B)]
     last_checks = [None] * B
     n_checks = [0] * B
@@ -457,13 +440,11 @@ def fit(data, hp, init_state=None):
     results = [None] * B
     active = list(range(B))
     stack = VariationalState.stack(states)
-    n_sweeps = 0
 
-    while active:
-        members = [datasets[b] for b in active], [hps[b] for b in active]
-        sweep(stack, *members, workspace=ws)
-        n_sweeps += 1
-        values = elbo(stack, *members)
+    for n_sweeps in range(1, hp.max_iter + 1):
+        members = [datasets[b] for b in active]
+        sweep(stack, members, hp, workspace=ws)
+        values = elbo(stack, members, hp)
         means = _block_means(stack)
         staying = []
         for i, b in enumerate(active):
@@ -481,7 +462,7 @@ def fit(data, hp, init_state=None):
             monitors[b]._append(means, i)
             converged = False
             if monitors[b].ready():
-                last_checks[b] = check = check_convergence(monitors[b], hps[b])
+                last_checks[b] = check = check_convergence(monitors[b], hp)
                 n_checks[b] += 1
                 logger.info(
                     "%siteration %d: elbo=%.6f p-values=%s",
@@ -491,7 +472,7 @@ def fit(data, hp, init_state=None):
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
                 converged = check.converged
-            if not (converged or n_sweeps >= hps[b].max_iter):
+            if not (converged or n_sweeps == hp.max_iter):
                 staying.append(i)
                 continue
             final = stack.member(i).copy()
@@ -508,11 +489,12 @@ def fit(data, hp, init_state=None):
                 n_checks=n_checks[b],
                 elbo_decreases=decreases[b],
             )
+        if not staying:
+            break
         if len(staying) < len(active):
             active = [active[i] for i in staying]
-            if active:
-                stack = stack.take(staying)
-                ws = ws.take(staying)
+            stack = VariationalState.stack([stack.member(i) for i in staying])
+            ws = _Workspace([datasets[b] for b in active])
 
     if not batched:
         return results[0]

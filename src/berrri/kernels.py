@@ -12,7 +12,9 @@ gives exactly the result of a fit on its own.
 
 `eta_factor_terms` and `eta_snp_update` take one fit as vectors (E of length
 Q, U of length N, scalar coefficients) or a batch as matrices (E of B x Q, U
-of B x N, length-B coefficients); their logit offsets are Q-major either way.
+of B x N, length-B prior logits and effect second moments); their logit
+offsets are Q-major either way.  A batch is one model, so the inverse noise
+variance is one scalar for all its members.
 """
 
 import numpy as np
@@ -57,21 +59,21 @@ def eta_snp_update(E, XT, q, offset_q, coef, g=None):
 def eta_factor_sweep(XT, x2sum, E, U, prior_logit, sa2, inv_sigma2):
     """Sequential update of E[:, q] for q = 0..Q-1; E is modified in place.
 
-    E holds the B x Q inclusion probabilities of the factor, U is B x N and
-    prior_logit, sa2 and inv_sigma2 have length B (see `eta_factor_terms`).
+    E holds the B x Q inclusion probabilities of the factor, U is B x N,
+    prior_logit and sa2 are length-B coefficients and inv_sigma2 is one
+    scalar for the whole batch (see `eta_factor_terms`).
     Finiteness is checked once, after the sweep.  Returns None on success,
     or (b, q) for the first member b with a non-finite logit and its first
     such SNP q; E then holds garbage and must not be written back.
     """
-    args = (E, U, prior_logit, sa2, inv_sigma2)
     if len(E) == 1:
         # a batch of one runs on row views: vector steps cost less per SNP
-        args = tuple(a[0] for a in args)
-    offset, coef = eta_factor_terms(XT, x2sum, *args[1:])
+        E, U, prior_logit, sa2 = E[0], U[0], prior_logit[0], sa2[0]
+    offset, coef = eta_factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2)
     zeta = np.empty_like(offset)
     g = np.empty(len(XT))
     for q in range(len(XT)):
-        zeta[q] = eta_snp_update(args[0], XT, q, offset[q], coef, g)
+        zeta[q] = eta_snp_update(E, XT, q, offset[q], coef, g)
     if np.isfinite(zeta).all():
         return None
     b, q = np.argwhere(~np.isfinite(zeta.reshape(len(XT), -1).T))[0]

@@ -127,7 +127,7 @@ def per_sweep_seconds(
 ) -> float:
     """Average wall-clock seconds per coordinate sweep on the given data."""
     state = engine.initial_state(data, hp)
-    ws = engine._Workspace([data], [hp])
+    ws = engine._Workspace([data])
     for _ in range(warmup):
         engine.sweep(state, data, hp, workspace=ws)
     start = perf_counter()

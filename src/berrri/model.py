@@ -68,7 +68,7 @@ def expected_residual_ss(state: VariationalState, data):
     so no N x P array is formed.  A stacked state with one Dataset per
     member (all sharing X) gives one value per member.
     """
-    batch, datasets, _ = batch_members(state, data)
+    batch, datasets = batch_members(state, data)
     return _result(_expected_residual_ss(batch, datasets), state)
 
 
@@ -109,30 +109,24 @@ def _digammas(batch: VariationalState):
     )
 
 
-def expected_log_joint(state: VariationalState, data, hp):
+def expected_log_joint(state: VariationalState, data, hp: Hyperparameters):
     """E_q[log p(W, Y | X, theta)] under the factorized posterior; one value
-    per member for a stacked state with sequences of datasets and
-    hyperparameters."""
-    batch, datasets, hps = batch_members(state, data, hp)
-    return _result(_expected_log_joint(batch, datasets, hps, _digammas(batch)), state)
+    per member for a stacked state with a sequence of datasets, all under
+    the one set of hyperparameters."""
+    batch, datasets = batch_members(state, data)
+    return _result(_expected_log_joint(batch, datasets, hp, _digammas(batch)), state)
 
 
-def _expected_log_joint(batch: VariationalState, datasets, hps, psi) -> np.ndarray:
+def _expected_log_joint(batch: VariationalState, datasets, hp: Hyperparameters, psi) -> np.ndarray:
     N, P = datasets[0].Y.shape
     K = batch.k_max
-    # the terms that depend on the hyperparameters alone, per member, in
-    # scalar arithmetic
-    lik0, two_sigma2, pi0, a0m1, delta0, c1, d = np.array([
-        (
-            -0.5 * N * P * (LOG_2PI + math.log(hp.sigma2)), 2.0 * hp.sigma2,
-            K * math.log(hp.alpha / K), hp.alpha / K - 1.0,
-            hp.c * math.log(hp.d) - gammaln(hp.c), hp.c + 1.0, hp.d,
-        )
-        for hp in hps
-    ]).T
+    a0 = hp.alpha / K
     psi1, psi2, psi12, psi_k1, log_k2 = psi
 
-    e_lik = lik0 - _expected_residual_ss(batch, datasets) / two_sigma2
+    e_lik = (
+        -0.5 * N * P * (LOG_2PI + math.log(hp.sigma2))
+        - _expected_residual_ss(batch, datasets) / (2.0 * hp.sigma2)
+    )
 
     e_log_pi = psi1 - psi12                            # B x K
     e_log_1mpi = psi2 - psi12
@@ -141,14 +135,14 @@ def _expected_log_joint(batch: VariationalState, datasets, hps, psi) -> np.ndarr
         (eta * e_log_pi[:, None]).sum(axis=(1, 2))
         + ((1.0 - eta) * e_log_1mpi[:, None]).sum(axis=(1, 2))
     )
-    e_pi = pi0 + a0m1 * e_log_pi.sum(axis=1)
+    e_pi = K * math.log(a0) + (a0 - 1.0) * e_log_pi.sum(axis=1)
 
     e_inv_delta = batch.kappa[..., 0] / batch.kappa[..., 1]
     e_log_delta = log_k2 - psi_k1
     e_a2 = batch.varphi + batch.phi**2
     e_a = (-0.5 * (LOG_2PI + e_log_delta) - 0.5 * e_inv_delta * e_a2).sum(axis=(1, 2))
     e_delta = (
-        delta0[:, None, None] - c1[:, None, None] * e_log_delta - d[:, None, None] * e_inv_delta
+        hp.c * math.log(hp.d) - gammaln(hp.c) - (hp.c + 1.0) * e_log_delta - hp.d * e_inv_delta
     ).sum(axis=(1, 2))
     return e_lik + e_z + e_pi + e_a + e_delta
 
@@ -174,17 +168,17 @@ def _entropy(batch: VariationalState, psi) -> np.ndarray:
     return h_pi + h_z + h_a + h_delta
 
 
-def elbo(state: VariationalState, data, hp):
+def elbo(state: VariationalState, data, hp: Hyperparameters):
     """Evidence lower bound E_q[log joint] + H[q]; finite for a valid state.
 
-    Takes one fit's state with its Dataset and Hyperparameters and returns a
-    float, or a stacked state (`VariationalState.stack`) with one Dataset
-    (all sharing X) and one Hyperparameters per member and returns one
-    value per member.
+    Takes one fit's state with its Dataset and returns a float, or a stacked
+    state (`VariationalState.stack`) with one Dataset per member (all
+    sharing X) and returns one value per member.  A batch is one model: all
+    members are scored under the one set of hyperparameters.
     """
-    batch, datasets, hps = batch_members(state, data, hp)
+    batch, datasets = batch_members(state, data)
     psi = _digammas(batch)
-    values = _expected_log_joint(batch, datasets, hps, psi) + _entropy(batch, psi)
+    values = _expected_log_joint(batch, datasets, hp, psi) + _entropy(batch, psi)
     if not np.isfinite(values).all():
         b = int(np.flatnonzero(~np.isfinite(values))[0])
         member = f" for batch member {b}" if state.eta.ndim == 3 else ""

@@ -7,7 +7,7 @@ binary SNP-inclusion matrix with a truncated Indian-Buffet-Process prior
 a per-entry ARD (inverse-gamma variance) prior.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -151,9 +151,6 @@ class Hyperparameters:
     def resolve_k_max(self, n_snps: int) -> int:
         return min(n_snps, 50) if self.k_max is None else self.k_max
 
-    def with_(self, **kwargs) -> "Hyperparameters":
-        return replace(self, **kwargs)
-
 
 _STATE_ARRAYS = ("lam", "eta", "phi", "varphi", "kappa")
 
@@ -213,12 +210,6 @@ class VariationalState:
             *(getattr(self, name)[b] for name in _STATE_ARRAYS), iteration=self.iteration
         )
 
-    def take(self, members) -> "VariationalState":
-        """The given members of a batch, copied into a new batch in that order."""
-        return VariationalState(
-            *(getattr(self, name)[members] for name in _STATE_ARRAYS), iteration=self.iteration
-        )
-
     def as_batch(self) -> "VariationalState":
         """A plain state as a batch of one whose arrays are views of its own."""
         return VariationalState(
@@ -263,22 +254,20 @@ class VariationalState:
         )
 
 
-def batch_members(state: VariationalState, data, hp=None):
-    """(batch, datasets, hyperparameters) of a plain or stacked state.
+def batch_members(state: VariationalState, data):
+    """(batch, datasets) of a plain or stacked state.
 
-    A plain state with its Dataset (and Hyperparameters) enters as a batch
-    of one; a stacked state brings sequences with one entry per member.
+    A plain state with its Dataset enters as a batch of one; a stacked state
+    brings a sequence with one Dataset per member.
     """
     if state.eta.ndim == 2:
-        return state.as_batch(), [data], [hp]
+        return state.as_batch(), [data]
     datasets = list(data)
-    hps = [None] * len(datasets) if hp is None else list(hp)
-    if not len(state.eta) == len(datasets) == len(hps):
+    if len(state.eta) != len(datasets):
         raise ValidationError(
-            f"a batch of {len(state.eta)} states needs as many datasets and hyperparameters, "
-            f"got {len(datasets)} and {len(hps)}"
+            f"a batch of {len(state.eta)} states needs as many datasets, got {len(datasets)}"
         )
-    return state, datasets, hps
+    return state, datasets
 
 
 def shared_genotypes(datasets) -> np.ndarray:

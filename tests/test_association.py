@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ class TestRunPermutationFdr:
         scores, state, _ = run_permutation_fdr(data, hp, fdr_target=0.1, n_permutations=1)
         shuffled = permute_labels(data, child_rng(hp.seed, "fdr-permutation", 0))
         perm_seed = int(child_seed_sequence(hp.seed, "fdr-fit", 0).generate_state(1)[0])
-        perm_state, _ = fit(shuffled, hp.with_(seed=perm_seed))
+        perm_state, _ = fit(shuffled, replace(hp, seed=perm_seed))
         manual_null = vmap(perm_state).ravel()
         assert np.array_equal(scores.null_scores, manual_null)
         manual_thr = fdr_threshold(vmap(state).ravel(), manual_null, 0.1)
@@ -222,7 +224,7 @@ class TestRunPermutationFdr:
                 perm_seed = int(
                     child_seed_sequence(master_seed, "fdr-fit", j).generate_state(1)[0]
                 )
-                st, _ = fit(shuffled, hp.with_(seed=perm_seed))
+                st, _ = fit(shuffled, replace(hp, seed=perm_seed))
                 out.append(float(vmap(st).max()))
             return np.asarray(out)
 

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,32 +24,20 @@ from berrri.types import VariationalState
 from conftest import compose_public_updates, micro_instance
 
 
-def permute_factors(state, perm):
-    return VariationalState(
-        lam=state.lam[perm].copy(),
-        eta=state.eta[:, perm].copy(),
-        phi=state.phi[perm].copy(),
-        varphi=state.varphi[perm].copy(),
-        kappa=state.kappa[perm].copy(),
-        iteration=state.iteration,
-    )
-
-
 class TestSweep:
     def test_matches_composition_of_public_updates(self):
         data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=31)
-        # a batch whose members differ in traits and noise variance
+        # a batch whose members differ in traits and state
         batch_data, batch_hp, first = micro_instance(n=6, q=5, p=4, k=3, seed=50)
         _, _, second = micro_instance(n=6, q=5, p=4, k=3, seed=51)
         datasets = [batch_data, permute_labels(batch_data, 1)]
-        hps = [batch_hp, batch_hp.with_(sigma2=1.3)]
         batch = VariationalState.stack([first, second])
-        sweep(batch, datasets, hps)
+        sweep(batch, datasets, batch_hp)
         via_sweep = state.copy()
         sweep(via_sweep, data, hp)
         cases = [(via_sweep, state, data, hp)] + [
-            (batch.member(b), start, d, h)
-            for b, (start, d, h) in enumerate(zip([first, second], datasets, hps))
+            (batch.member(b), start, d, batch_hp)
+            for b, (start, d) in enumerate(zip([first, second], datasets))
         ]
         for swept, start, d, h in cases:
             manual = start.copy()
@@ -82,26 +71,6 @@ class TestSweep:
                 getattr(state, name), getattr(frozen, name), rtol=1e-12, atol=1e-12
             ), name
 
-    def test_factor_relabeling_equivariance(self):
-        # processing factors through a relabeled state, with the schedule
-        # following the labels, reproduces the plain sweep
-        data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=41)
-        plain = state.copy()
-        sweep(plain, data, hp)
-        perm = np.array([1, 0])
-        relabeled = permute_factors(state, perm)
-        sweep(relabeled, data, hp, order=np.argsort(perm))
-        back = permute_factors(relabeled, np.argsort(perm))
-        for name in ("lam", "eta", "phi", "varphi", "kappa"):
-            assert np.allclose(
-                getattr(back, name), getattr(plain, name), rtol=1e-10, atol=1e-12
-            ), name
-
-    def test_order_must_be_permutation(self):
-        data, hp, state = micro_instance()
-        with pytest.raises(ValidationError, match="permutation"):
-            sweep(state, data, hp, order=[0, 0])
-
     def test_domain_preserved_after_sweeps(self):
         cfg = SimConfig(n_individuals=25, n_snps=10, n_traits=4, k_true=2, seed=9)
         data, _ = simulate(cfg)
@@ -120,7 +89,7 @@ class TestSweep:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             EngineError, match=r"factor 1, SNP 0 of batch member 1"
         ):
-            sweep(batch, [data, data], [hp, hp])
+            sweep(batch, [data, data], hp)
         assert not (batch.eta[:, :, 0] == before[:, :, 0]).all()  # factor 0 ran
         assert (batch.eta[:, :, 1] == before[:, :, 1]).all()
 
@@ -185,11 +154,9 @@ class TestFit:
         # unconverged at max_iter (65); each leaves the batch on its own
         data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
         datasets = [permute_labels(data, j) for j in range(6)]
-        hps = [
-            Hyperparameters(k_max=4, seed=j, burn_in=0, check_interval=10, max_iter=65)
-            for j in range(6)
-        ]
-        states, reports = fit(datasets, hps)
+        hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
+        hps = [replace(hp, seed=j) for j in range(6)]
+        states, reports = fit(datasets, hp, [initial_state(d, h) for d, h in zip(datasets, hps)])
         outcomes = set()
         for d, h, st, rep in zip(datasets, hps, states, reports):
             alone, alone_rep = fit(d, h)
@@ -202,37 +169,14 @@ class TestFit:
             outcomes.add((rep.iterations, rep.converged))
         assert {(50, True), (60, True), (65, False)} <= outcomes
 
-    def test_batch_members_with_own_hyperparameters_match_serial_fits(self):
-        # members differ in sigma2, alpha, c and d and leave the batch at
-        # different sweeps (30, 45 and 60)
-        data, _ = simulate(SimConfig(n_individuals=50, n_snps=10, n_traits=5, k_true=2, seed=8))
-        datasets = [permute_labels(data, j) for j in range(3)]
-        hps = [
-            Hyperparameters(
-                k_max=3, seed=j, sigma2=s2, alpha=a, c=c, d=d,
-                burn_in=0, check_interval=1000, max_iter=it,
-            )
-            for j, (s2, a, c, d, it) in enumerate(
-                ((1.0, 1.0, 1.0, 1.0, 30), (0.6, 2.5, 0.3, 1.7, 60), (1.8, 0.4, 2.2, 0.05, 45))
-            )
-        ]
-        states, reports = fit(datasets, hps)
-        assert [rep.iterations for rep in reports] == [30, 60, 45]
-        for d, h, st, rep in zip(datasets, hps, states, reports):
-            alone, alone_rep = fit(d, h)
-            assert rep.iterations == alone_rep.iterations == st.iteration
-            assert np.array_equal(st.eta, alone.eta)
-            assert np.array_equal(st.phi, alone.phi)
-            assert rep.elbo_trace == alone_rep.elbo_trace
-
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
         other, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=3))
         hp = Hyperparameters(k_max=2, burn_in=2, check_interval=5, max_iter=10)
         with pytest.raises(ValidationError, match="share the genotype matrix"):
-            fit([data, other], [hp, hp])
-        with pytest.raises(ValidationError, match="one hyperparameter set"):
-            fit([data, data], [hp])
+            fit([data, other], hp)
+        with pytest.raises(ValidationError, match="one initial state"):
+            fit([data, data], hp, [initial_state(data, hp)])
 
     def test_report_fields_consistent(self):
         cfg = SimConfig(n_individuals=30, n_snps=10, n_traits=5, k_true=2, seed=6)

@@ -13,7 +13,7 @@ def kernel_inputs(n=12, q=8, b=1, seed=0):
     U = 0.3 * rng.normal(size=(b, n))
     prior_logit = rng.normal(size=b)
     sa2 = rng.uniform(0.01, 0.1, size=b)
-    inv_sigma2 = rng.uniform(0.5, 2.0, size=b)
+    inv_sigma2 = rng.uniform(0.5, 2.0)
     return XT, x2sum, E, U, prior_logit, sa2, inv_sigma2
 
 
@@ -40,7 +40,7 @@ class TestEtaKernel:
         for seed in range(5):
             XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=b, seed=seed)
             expected = [
-                sequential_reference(XT, x2sum, E[i], U[i], prior[i], sa2[i], inv_s2[i])
+                sequential_reference(XT, x2sum, E[i], U[i], prior[i], sa2[i], inv_s2)
                 for i in range(b)
             ]
             assert eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2) is None
@@ -58,12 +58,12 @@ class TestEtaKernel:
             for i in range(len(E)):
                 single = E[i:i + 1].copy()
                 one = slice(i, i + 1)
-                eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2[one])
+                eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2)
                 assert np.array_equal(batch[i], single[0]), (n, q, i)
             # a sub-batch of other members, in another order
             sub = [4, 1, 3]
             part = E[sub].copy()
-            eta_factor_sweep(XT, x2sum, part, U[sub], prior[sub], sa2[sub], inv_s2[sub])
+            eta_factor_sweep(XT, x2sum, part, U[sub], prior[sub], sa2[sub], inv_s2)
             assert np.array_equal(part, batch[sub]), (n, q)
 
     def test_snp_steps_compose_to_factor_sweep(self):
@@ -86,7 +86,7 @@ class TestEtaKernel:
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=2)
         n = int(np.flatnonzero((XT[0] == 0) & (XT[1:] != 0).any(axis=0))[0])
         U[2, n] = 1e308
-        inv_s2[2] = 4.0  # the offset of every SNP that carries n overflows
+        inv_s2 = 4.0  # member 2's offset of every SNP that carries n overflows
         with np.errstate(over="ignore", invalid="ignore"):
             b, q = eta_factor_sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2)
         assert (b, q) == (2, int(np.flatnonzero(XT[:, n])[0]))
@@ -98,7 +98,7 @@ class TestEtaKernel:
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(seed=3)
         frozen = E[0].copy()
         eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2)
-        jacobi = _jacobi(XT, x2sum, frozen, U[0], prior[0], sa2[0], inv_s2[0])
+        jacobi = _jacobi(XT, x2sum, frozen, U[0], prior[0], sa2[0], inv_s2)
         assert not np.allclose(E[0, 1:], jacobi[1:], atol=1e-12)
         assert E[0, 0] == pytest.approx(jacobi[0], abs=1e-15)
 

@@ -122,7 +122,7 @@ class TestElbo:
         # one fit, and a batch of three that shares X
         for members, args in (
             (1, (states[0], datasets[0], hp)),
-            (3, (VariationalState.stack(states), datasets, [hp] * 3)),
+            (3, (VariationalState.stack(states), datasets, hp)),
         ):
             elbo(*args)  # warm-up, so one-time allocations are not counted
             tracemalloc.start()
@@ -137,19 +137,16 @@ class TestElbo:
             assert peak < members * n * p * 8 / 4
 
     def test_batch_gives_each_members_value(self):
-        # members differ in traits, state and every per-fit hyperparameter
-        data, _, _ = micro_instance(n=6, q=5, p=4, k=3, seed=60)
+        # members differ in traits and state, under hyperparameters away
+        # from every default
+        data, hp, _ = micro_instance(n=6, q=5, p=4, k=3, seed=60)
         rng = np.random.default_rng(61)
         datasets = [data] + [Dataset(X=data.X, Y=rng.normal(size=data.Y.shape)) for _ in range(2)]
-        hps = [
-            Hyperparameters(k_max=3, sigma2=s2, alpha=a, c=c, d=d)
-            for s2, a, c, d in ((1.0, 1.0, 1.0, 1.0), (0.6, 2.5, 0.3, 1.7), (1.9, 0.4, 2.2, 0.05))
-        ]
         states = [random_state(q=5, p=4, k=3, seed=62 + b) for b in range(3)]
         batch = VariationalState.stack(states)
         for fn, args, member_args in (
-            (elbo, (batch, datasets, hps), zip(states, datasets, hps)),
-            (expected_log_joint, (batch, datasets, hps), zip(states, datasets, hps)),
+            (elbo, (batch, datasets, hp), zip(states, datasets, [hp] * 3)),
+            (expected_log_joint, (batch, datasets, hp), zip(states, datasets, [hp] * 3)),
             (expected_residual_ss, (batch, datasets), zip(states, datasets)),
             (entropy, (batch,), zip(states)),
         ):
@@ -162,9 +159,9 @@ class TestElbo:
         other, _, _ = micro_instance(n=6, q=5, p=4, k=2, seed=64)
         batch = VariationalState.stack([state, state])
         with pytest.raises(ValidationError, match="share the genotype matrix"):
-            elbo(batch, [data, other], [hp, hp])
+            elbo(batch, [data, other], hp)
         with pytest.raises(ValidationError, match="as many datasets"):
-            elbo(batch, [data], [hp])
+            elbo(batch, [data], hp)
 
     def test_decomposition_is_additive(self):
         data, hp, state = micro_instance(seed=5)
