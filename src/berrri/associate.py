@@ -142,10 +142,9 @@ def run_permutation_fdr(
     members share `hp` and differ only in their traits and their initial
     state; permutation j starts from `initial_state` under its own derived
     seed.  Every member's result is bit for bit that of its fit on its own,
-    so the real fit equals `fit(data, hp)` exactly; its report's
-    wall_seconds counts the whole batch until it stopped.  A non-converged
-    permutation fit is kept (with a warning) since its scores are still
-    valid null draws.
+    so the real fit and its report equal `fit(data, hp)` exactly.  A
+    non-converged permutation fit is kept (with a warning) since its scores
+    are still valid null draws.
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")

@@ -26,7 +26,6 @@ the same fit run on its own.
 import logging
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -275,32 +274,41 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _block_means(batch: VariationalState):
+def _block_means(batch: VariationalState) -> np.ndarray:
     """The mean of each parameter block (in TRACE_BLOCKS order) for every
-    member of a batch, one reduction per block."""
+    member of a batch, one reduction per block: row b holds member b's."""
     B = len(batch.eta)
-    return [
+    return np.column_stack([
         getattr(batch, name).reshape(B, -1).mean(axis=1)
         for name in ("lam", "eta", "phi", "varphi", "kappa")
-    ]
+    ])
 
 
 @dataclass
 class TraceMonitor:
-    """Per-block scalar traces (the mean of each parameter block, recorded
-    once per iteration) plus the burn-in and check cadence settings."""
+    """The record of one fit's progress: per-block scalar traces (the mean
+    of each parameter block, one value per sweep), the ELBO of every sweep,
+    every convergence check run on the traces, and the number of sweeps that
+    lowered the ELBO; plus the burn-in and check cadence settings."""
 
     burn_in: int = 100
     check_interval: int = 100
     traces: dict = field(default_factory=lambda: {b: [] for b in TRACE_BLOCKS})
+    elbo_trace: list = field(default_factory=list, init=False)
+    checks: list = field(default_factory=list, init=False)
+    elbo_decreases: int = field(default=0, init=False)
 
-    def record(self, state: VariationalState):
-        """Append the block means of one fit's state."""
-        self._append(_block_means(state.as_batch()), 0)
-
-    def _append(self, means, member: int):
-        for block, values in zip(TRACE_BLOCKS, means):
-            self.traces[block].append(float(values[member]))
+    def record(self, means, elbo: float) -> bool:
+        """Append one sweep's five block means (in TRACE_BLOCKS order) and
+        its ELBO.  Returns True, and counts the decrease, when the ELBO fell
+        by more than ELBO_DECREASE_RTOL of its previous value."""
+        for block, value in zip(TRACE_BLOCKS, means):
+            self.traces[block].append(float(value))
+        trace = self.elbo_trace
+        trace.append(float(elbo))
+        fell = len(trace) > 1 and trace[-2] - trace[-1] > ELBO_DECREASE_RTOL * abs(trace[-2])
+        self.elbo_decreases += fell
+        return fell
 
     def __len__(self) -> int:
         return len(self.traces["lambda"])
@@ -379,19 +387,18 @@ def check_convergence(monitor: TraceMonitor, hp: Hyperparameters) -> Convergence
 
 @dataclass(frozen=True)
 class FitReport:
-    """How one fit went.  wall_seconds runs from the start of `fit` until
-    the fit stopped; for a member of a batch it counts the whole batch's
-    work until that member stopped, not the member's share of it."""
+    """How one fit went, taken from its `TraceMonitor` when it stopped:
+    whether its last convergence check passed, the sweeps run, the final
+    ELBO and effective K, the ELBO of every sweep, every convergence check
+    in order (empty if none ran) and the count of sweeps that lowered the
+    ELBO.  It holds no timing, so identical fits give equal reports."""
 
     converged: bool
     iterations: int
     final_elbo: float
     k_effective: int
-    wall_seconds: float
-    p_values: dict
-    t_stats: dict
     elbo_trace: tuple
-    n_checks: int
+    checks: tuple
     elbo_decreases: int
 
 
@@ -404,14 +411,15 @@ def fit(data, hp: Hyperparameters, init_state=None):
     the list of states and the list of reports; each member stops at its
     own converged check, and those still running stop at max_iter.  A
     member's start is `initial_state(data, hp)` unless given, so members
-    that should start apart are given their own initial states.
+    that should start apart are given their own initial states.  Each
+    member's progress (block traces, ELBO trace, checks, ELBO decreases)
+    lives in its own `TraceMonitor`, from which its report is built.
     Deterministic for a given (data, hp, seed): identical runs produce
     identical parameter traces and reports.  Non-convergence at max_iter is
     reported, not raised.  Every update should raise the ELBO, so each sweep
     that lowers it by more than ELBO_DECREASE_RTOL of its previous value is
     logged as a warning and counted in the report's elbo_decreases.
     """
-    start = perf_counter()
     batched = not isinstance(data, Dataset)
     datasets = list(data) if batched else [data]
     B = len(datasets)
@@ -433,10 +441,6 @@ def fit(data, hp: Hyperparameters, init_state=None):
         states.append(state)
     ws = _Workspace(datasets)
     monitors = [TraceMonitor(hp.burn_in, hp.check_interval) for _ in range(B)]
-    elbo_traces = [[] for _ in range(B)]
-    last_checks = [None] * B
-    n_checks = [0] * B
-    decreases = [0] * B
     results = [None] * B
     active = list(range(B))
     stack = VariationalState.stack(states)
@@ -448,27 +452,23 @@ def fit(data, hp: Hyperparameters, init_state=None):
         means = _block_means(stack)
         staying = []
         for i, b in enumerate(active):
-            trace = elbo_traces[b]
-            trace.append(float(values[i]))
-            if len(trace) > 1 and trace[-2] - trace[-1] > ELBO_DECREASE_RTOL * abs(trace[-2]):
-                decreases[b] += 1
+            monitor = monitors[b]
+            if monitor.record(means[i], values[i]):
                 logger.warning(
                     "%siteration %d: elbo fell from %.6f to %.6f",
                     f"batch member {b}: " if batched else "",
                     stack.iteration,
-                    trace[-2],
-                    trace[-1],
+                    *monitor.elbo_trace[-2:],
                 )
-            monitors[b]._append(means, i)
             converged = False
-            if monitors[b].ready():
-                last_checks[b] = check = check_convergence(monitors[b], hp)
-                n_checks[b] += 1
+            if monitor.ready():
+                check = check_convergence(monitor, hp)
+                monitor.checks.append(check)
                 logger.info(
                     "%siteration %d: elbo=%.6f p-values=%s",
                     f"batch member {b}: " if batched else "",
                     stack.iteration,
-                    trace[-1],
+                    monitor.elbo_trace[-1],
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
                 converged = check.converged
@@ -476,18 +476,14 @@ def fit(data, hp: Hyperparameters, init_state=None):
                 staying.append(i)
                 continue
             final = stack.member(i).copy()
-            check = last_checks[b]
             results[b] = final, FitReport(
                 converged=converged,
                 iterations=final.iteration,
-                final_elbo=trace[-1],
+                final_elbo=monitor.elbo_trace[-1],
                 k_effective=final.effective_k(),
-                wall_seconds=perf_counter() - start,
-                p_values=dict(check.p_values) if check else {},
-                t_stats=dict(check.t_stats) if check else {},
-                elbo_trace=tuple(trace),
-                n_checks=n_checks[b],
-                elbo_decreases=decreases[b],
+                elbo_trace=tuple(monitor.elbo_trace),
+                checks=tuple(monitor.checks),
+                elbo_decreases=monitor.elbo_decreases,
             )
         if not staying:
             break

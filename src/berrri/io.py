@@ -151,11 +151,9 @@ def write_table(path, header, rows):
         fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
-def save_matrix(path, values, row_ids=None, col_ids=None, corner: str = "id"):
-    values = np.asarray(values)
-    n, m = values.shape
-    row_ids = row_ids if row_ids is not None else [f"r{i}" for i in range(n)]
-    col_ids = col_ids if col_ids is not None else [f"c{j}" for j in range(m)]
+def save_matrix(path, values, row_ids, col_ids, corner: str = "id"):
+    """Write a labelled matrix as TSV: `corner` and the column IDs, then each
+    row's ID and its values at 17 significant digits."""
     write_table(
         path,
         [corner, *map(str, col_ids)],
@@ -204,27 +202,25 @@ def load_dataset(
             f"{gen.row_ids[i]!r}, trait file {trait_path} has {tr.row_ids[i]!r}; both files "
             f"must list the same individuals in the same order"
         )
-    snp_pos = trait_pos = None
-    if snp_positions_path is not None:
-        table = load_positions(snp_positions_path)
-        missing = [s for s in gen.col_ids if s not in table]
-        if missing:
-            raise ValidationError(f"missing positions for SNPs: {missing[:5]}")
-        snp_pos = np.array([table[s] for s in gen.col_ids])
-    if trait_positions_path is not None:
-        table = load_positions(trait_positions_path)
-        missing = [t for t in tr.col_ids if t not in table]
-        if missing:
-            raise ValidationError(f"missing positions for traits: {missing[:5]}")
-        trait_pos = np.array([table[t] for t in tr.col_ids])
     return Dataset(
         X=gen.values,
         Y=tr.values,
         snp_ids=gen.col_ids,
         trait_ids=tr.col_ids,
-        snp_positions=snp_pos,
-        trait_positions=trait_pos,
+        snp_positions=_positions_of(snp_positions_path, gen.col_ids, "SNPs"),
+        trait_positions=_positions_of(trait_positions_path, tr.col_ids, "traits"),
     )
+
+
+def _positions_of(path, ids, kind: str):
+    """The positions of `ids`, in order, from a position file (None without one)."""
+    if path is None:
+        return None
+    table = load_positions(path)
+    missing = [i for i in ids if i not in table]
+    if missing:
+        raise ValidationError(f"missing positions for {kind}: {missing[:5]}")
+    return np.array([table[i] for i in ids])
 
 
 def _prepare_out_dir(out_dir) -> Path:
@@ -313,6 +309,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         paths["null_scores"] = out / "null_scores.tsv"
         write_table(paths["null_scores"], ["null_score"], ([fmt(v)] for v in scores.null_scores))
 
+    last_check = report.checks[-1] if report.checks else None
     manifest = {
         "config": config or {},
         "converged": report.converged,
@@ -321,8 +318,8 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "elbo_decreases": report.elbo_decreases,
         "k_effective": report.k_effective,
         "elbo_trace": list(report.elbo_trace),
-        "convergence_p_values": report.p_values,
-        "convergence_t_stats": report.t_stats,
+        "convergence_p_values": last_check.p_values if last_check is not None else {},
+        "convergence_t_stats": last_check.t_stats if last_check is not None else {},
         "threshold": threshold,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,

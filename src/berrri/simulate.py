@@ -115,5 +115,5 @@ def simulate(cfg: SimConfig):
     Y = X @ Z @ A + noise
 
     data = Dataset(X=X, Y=Y)
-    truth = PlantedTruth.from_factors(Z, A)
+    truth = PlantedTruth(Z, A)
     return data, truth

@@ -281,17 +281,15 @@ def shared_genotypes(datasets) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlantedTruth:
-    """Simulation ground truth: inclusion matrix, effects, and the derived
-    SNP-trait association mask used for precision/recall scoring."""
+    """Simulation ground truth: inclusion matrix and effects, from which the
+    SNP-trait association mask used for precision/recall scoring follows."""
 
     Z_true: np.ndarray
     A_true: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         Z = np.asarray(self.Z_true, dtype=np.int8)
         A = np.asarray(self.A_true, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
         if Z.ndim != 2 or A.ndim != 2 or Z.shape[1] != A.shape[0]:
             raise ValidationError(
                 f"inconsistent truth shapes: Z_true {Z.shape}, A_true {A.shape}"
@@ -300,18 +298,13 @@ class PlantedTruth:
             raise ValidationError("planted truth needs at least one factor")
         if not np.isin(Z, (0, 1)).all():
             raise ValidationError("Z_true must be binary")
-        expected = derive_mask(Z, A)
-        if mask.shape != expected.shape or (mask != expected).any():
-            raise ValidationError("mask does not follow from Z_true and A_true")
-        for name, arr in (("Z_true", Z), ("A_true", A), ("mask", mask)):
+        for name, arr in (("Z_true", Z), ("A_true", A)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_factors(cls, Z_true, A_true) -> "PlantedTruth":
-        Z = np.asarray(Z_true, dtype=np.int8)
-        A = np.asarray(A_true, dtype=np.float64)
-        return cls(Z_true=Z, A_true=A, mask=derive_mask(Z, A))
+    @property
+    def mask(self) -> np.ndarray:
+        return derive_mask(self.Z_true, self.A_true)
 
 
 def derive_mask(Z_true: np.ndarray, A_true: np.ndarray) -> np.ndarray:

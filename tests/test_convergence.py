@@ -4,7 +4,8 @@ import pytest
 from berrri import Hyperparameters, TraceMonitor, ValidationError, check_convergence, geweke_statistic
 from berrri.engine import TRACE_BLOCKS
 
-from conftest import random_state
+# one sweep's block means, one per block in TRACE_BLOCKS order
+MEANS = (0.5, 0.4, 0.1, 0.2, 1.5)
 
 
 class TestGewekeStatistic:
@@ -48,25 +49,23 @@ class TestGewekeStatistic:
 class TestTraceMonitor:
     def test_records_one_scalar_per_block_per_iteration(self):
         mon = TraceMonitor(burn_in=2, check_interval=5)
-        state = random_state()
         for _ in range(7):
-            mon.record(state)
+            mon.record(MEANS, -1.0)
         assert len(mon) == 7
         for block in TRACE_BLOCKS:
             assert len(mon.traces[block]) == 7
+        assert mon.elbo_trace == [-1.0] * 7 and mon.elbo_decreases == 0
 
     def test_post_burn_slices_off_burn_in(self):
         mon = TraceMonitor(burn_in=3, check_interval=5)
-        state = random_state()
         for _ in range(10):
-            mon.record(state)
+            mon.record(MEANS, -1.0)
         assert mon.post_burn("eta").size == 7
 
     def test_ready_needs_cadence_and_min_length(self):
         mon = TraceMonitor(burn_in=5, check_interval=10)
-        state = random_state()
         for i in range(1, 41):
-            mon.record(state)
+            mon.record(MEANS, -1.0)
             if i < 30:
                 assert not mon.ready() or i % 10 != 0 or i - 5 >= 20
         assert len(mon) == 40 and mon.ready()

@@ -101,9 +101,7 @@ class TestFit:
         hp = Hyperparameters(k_max=4, seed=11, burn_in=20, check_interval=20, max_iter=120)
         s1, r1 = fit(data, hp)
         s2, r2 = fit(data, hp)
-        assert r1.iterations == r2.iterations
-        assert r1.final_elbo == r2.final_elbo
-        assert r1.elbo_trace == r2.elbo_trace
+        assert r1 == r2
         assert (s1.eta == s2.eta).all() and (s1.phi == s2.phi).all()
 
     def test_truth_init_on_noiseless_data(self):
@@ -132,7 +130,7 @@ class TestFit:
         )
         state, report = fit(data, hp, init_state=init)
         assert report.converged
-        assert report.n_checks <= 2
+        assert len(report.checks) <= 2
         assert rss(data.Y, X @ state.eta @ state.phi) < 1e-3
 
     def test_nonconvergence_reported_not_raised(self):
@@ -160,14 +158,26 @@ class TestFit:
         outcomes = set()
         for d, h, st, rep in zip(datasets, hps, states, reports):
             alone, alone_rep = fit(d, h)
-            assert (rep.iterations, rep.converged) == (alone_rep.iterations, alone_rep.converged)
-            assert rep.n_checks == alone_rep.n_checks
+            assert rep == alone_rep
             assert st.iteration == rep.iterations == len(rep.elbo_trace)
             assert np.array_equal(st.eta, alone.eta)
             assert np.array_equal(st.phi, alone.phi)
-            assert rep.elbo_trace == alone_rep.elbo_trace
             outcomes.add((rep.iterations, rep.converged))
         assert {(50, True), (60, True), (65, False)} <= outcomes
+
+    def test_report_keeps_every_check(self):
+        # with burn_in 0 the first check needs a 20-sweep trace, then one
+        # runs every 10th sweep until the member converges or reaches 65
+        data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
+        datasets = [permute_labels(data, j) for j in range(6)]
+        hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
+        starts = [initial_state(d, replace(hp, seed=j)) for j, d in enumerate(datasets)]
+        _, reports = fit(datasets, hp, starts)
+        assert {rep.converged for rep in reports} == {True, False}
+        for rep in reports:
+            assert [c.iteration for c in rep.checks] == list(range(20, rep.iterations + 1, 10))
+            assert not any(c.converged for c in rep.checks[:-1])
+            assert rep.checks[-1].converged == rep.converged
 
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))

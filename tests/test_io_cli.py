@@ -17,7 +17,7 @@ from berrri.cli import run
 from berrri.errors import ValidationError
 
 
-def write_matrix(path, values, row_ids=None, col_ids=None):
+def write_matrix(path, values, row_ids, col_ids):
     io.save_matrix(path, np.asarray(values, dtype=float), row_ids, col_ids)
     return path
 
@@ -57,7 +57,8 @@ class TestLoadMatrix:
     def test_write_read_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(20, 30)) * 10.0 ** rng.integers(-8, 8, size=(20, 30))
-        path = write_matrix(tmp_path / "m.tsv", values)
+        ids = [f"r{i}" for i in range(20)], [f"c{j}" for j in range(30)]
+        path = write_matrix(tmp_path / "m.tsv", values, *ids)
         loaded = io.load_matrix(path, "trait")
         assert (loaded.values == values).all()
 
@@ -142,6 +143,8 @@ class TestSaveResults:
         assert manifest["format_version"] == io.FORMAT_VERSION
         assert manifest["iterations"] == report.iterations
         assert manifest["elbo_decreases"] == report.elbo_decreases == 0
+        assert manifest["convergence_p_values"] == report.checks[-1].p_values
+        assert manifest["convergence_t_stats"] == report.checks[-1].t_stats
         assert manifest["versions"] == {
             "berrri": berrri.__version__,
             "numpy": np.__version__,

@@ -101,15 +101,9 @@ class TestPlantedTruth:
     def test_mask_rule(self):
         Z = np.array([[1, 0], [0, 1], [0, 0]])
         A = np.array([[0.5, 0.0], [0.0, -0.3]])
-        truth = PlantedTruth.from_factors(Z, A)
+        truth = PlantedTruth(Z, A)
         expected = np.array([[True, False], [False, True], [False, False]])
         assert (truth.mask == expected).all()
-
-    def test_inconsistent_mask_rejected(self):
-        Z = np.array([[1], [0]])
-        A = np.array([[1.0, 2.0]])
-        with pytest.raises(ValidationError, match="mask"):
-            PlantedTruth(Z_true=Z, A_true=A, mask=np.zeros((2, 2), dtype=bool))
 
     def test_mask_ignores_exactly_zero_effects(self):
         Z = np.array([[1]])
