@@ -13,7 +13,6 @@ from .associate import (
     fdr_threshold,
     permute_labels,
     run_permutation_fdr,
-    univariate_bf,
     vmap,
     vmap_signed,
 )
@@ -27,13 +26,12 @@ from .engine import (
     sweep,
 )
 from .errors import BerrriError, EngineError, ValidationError
-from .metrics import PRCurve, confidence_interval, precision_recall, rss
-from .model import elbo, log_joint
+from .metrics import PRCurve, precision_recall, rss
+from .model import elbo
 from .simulate import SimConfig, simulate, synthetic_genotypes
 from .types import (
     Dataset,
     Hyperparameters,
-    ModelPoint,
     PlantedTruth,
     VariationalState,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "EngineError",
     "FitReport",
     "Hyperparameters",
-    "ModelPoint",
     "PRCurve",
     "PlantedTruth",
     "SimConfig",
@@ -55,13 +52,11 @@ __all__ = [
     "ValidationError",
     "VariationalState",
     "check_convergence",
-    "confidence_interval",
     "elbo",
     "fdr_threshold",
     "fit",
     "geweke_statistic",
     "initial_state",
-    "log_joint",
     "permute_labels",
     "precision_recall",
     "rss",
@@ -69,7 +64,6 @@ __all__ = [
     "simulate",
     "sweep",
     "synthetic_genotypes",
-    "univariate_bf",
     "vmap",
     "vmap_signed",
     "__version__",

@@ -1,4 +1,4 @@
-"""SNP-trait association scores, permutation FDR, and a univariate baseline.
+"""SNP-trait association scores and permutation FDR.
 
 The score for pair (q, p) is the magnitude of the posterior-mean
 reconstruction coefficient (E[Z] @ E[A])[q, p]; the signed matrix is kept for
@@ -7,7 +7,6 @@ row-shuffled trait matrices and pooling the resulting scores as a global null.
 """
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,7 +25,6 @@ __all__ = [
     "permute_labels",
     "fdr_threshold",
     "run_permutation_fdr",
-    "univariate_bf",
 ]
 
 logger = logging.getLogger("berrri")
@@ -117,9 +115,8 @@ def fdr_threshold(real_scores, null_scores, fdr_target: float) -> Optional[float
 
     threshold = None
     worst = 0.0                                        # max estimate over cutoffs >= t
+    # every candidate is an observed real score, so ge_real >= 1
     for t, ge_real, ge_null in zip(candidates, n_ge_real, n_ge_null):
-        if ge_real == 0:                               # estimate undefined here
-            continue
         worst = max(worst, ge_null / ge_real * scale)
         if worst <= fdr_target:
             threshold = float(t)
@@ -189,31 +186,3 @@ def run_permutation_fdr(
         permutation_reports=tuple(perm_reports),
     )
     return result, state, report
-
-
-def univariate_bf(
-    data: Dataset,
-    q: int,
-    p: int,
-    prior_effect_sd: float = 0.5,
-    sigma2: float = 1.0,
-) -> Optional[float]:
-    """log10 Bayes factor of a single-SNP linear model against intercept-only.
-
-    Conjugate zero-mean Gaussian effect prior with the given sd and a shared
-    noise variance; the intercept is removed by centering, which is common to
-    both models.  Returns None for a constant genotype column (undefined).
-    """
-    if prior_effect_sd <= 0:
-        raise ValidationError(f"prior_effect_sd must be positive, got {prior_effect_sd}")
-    x = data.X[:, q]
-    if np.all(x == x[0]):
-        return None
-    y = data.Y[:, p]
-    xc = x - x.mean()
-    yc = y - y.mean()
-    xx = float(xc @ xc)
-    xy = float(xc @ yc)
-    g = prior_effect_sd**2 * xx / sigma2
-    log_bf = -0.5 * math.log1p(g) + (g / (1.0 + g)) * xy**2 / (2.0 * sigma2 * xx)
-    return log_bf / math.log(10.0)

@@ -249,10 +249,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except BerrriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BerrriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

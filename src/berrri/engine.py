@@ -490,7 +490,9 @@ def fit(data, hp: Hyperparameters, init_state=None):
         if len(staying) < len(active):
             active = [active[i] for i in staying]
             stack = VariationalState.stack([stack.member(i) for i in staying])
-            ws = _Workspace([datasets[b] for b in active])
+            # the genotype constants stay; only the per-member rows go
+            ws.Y = ws.Y[staying]
+            ws.residual = ws.residual[:len(staying)]
 
     if not batched:
         return results[0]

@@ -1,5 +1,5 @@
 """Evaluation harness: reconstruction error, precision/recall against the
-planted mask, confidence intervals, and the per-sweep wall-clock time.
+planted mask, and the per-sweep wall-clock time.
 
 The precision/recall machinery is method-agnostic: any Q x P score matrix can
 be evaluated against a binary truth mask, including score files produced by
@@ -8,10 +8,9 @@ external methods.
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import engine
 from .errors import ValidationError
@@ -21,7 +20,6 @@ __all__ = [
     "PRCurve",
     "rss",
     "precision_recall",
-    "confidence_interval",
     "per_sweep_seconds",
 ]
 
@@ -105,18 +103,6 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
         recall[i] = tp / positives
     auc = float(np.sum(np.diff(recall, prepend=0.0) * precision))
     return PRCurve(thresholds=t, precision=precision, recall=recall, auc=auc)
-
-
-def confidence_interval(samples: Sequence[float], level: float = 0.95):
-    """Student-t confidence interval for the mean: mean +/- t * sd / sqrt(n)."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 2:
-        raise ValidationError(f"need at least 2 samples, got {x.size}")
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie in (0, 1), got {level}")
-    mean = float(x.mean())
-    half = float(stdtrit(x.size - 1, 0.5 + level / 2.0) * x.std(ddof=1) / np.sqrt(x.size))
-    return mean - half, mean + half
 
 
 def per_sweep_seconds(

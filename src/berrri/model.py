@@ -1,13 +1,14 @@
-"""Generative-model densities and the evidence lower bound.
+"""The evidence lower bound of the generative model.
 
-The unnormalized log joint factorizes as
+The model's log joint factorizes as
 
     log p(Y | X, Z, A, sigma2) + log p(Z | pi) + log p(pi | alpha)
         + log p(A | delta) + log p(delta | c, d)
 
 and the ELBO is E_q[log joint] + H[q] under the factorized posterior held in
-a VariationalState.  Both decompose additively; tests check the terms against
-independently summed oracles.
+a VariationalState; only this expectation is computed, never the log joint
+at a concrete point.  Both parts decompose additively; tests check the terms
+against independently summed oracles.
 """
 
 import math
@@ -15,44 +16,12 @@ import math
 import numpy as np
 from scipy.special import betaln, digamma, gammaln, xlogy
 
-from .errors import EngineError, ValidationError
-from .types import Dataset, Hyperparameters, ModelPoint, VariationalState, batch_members, shared_genotypes
+from .errors import EngineError
+from .types import Hyperparameters, VariationalState, batch_members, shared_genotypes
 
-__all__ = ["log_joint", "elbo", "expected_log_joint", "expected_residual_ss", "entropy"]
+__all__ = ["elbo", "expected_log_joint", "expected_residual_ss", "entropy"]
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def log_joint(point: ModelPoint, data: Dataset, hp: Hyperparameters) -> float:
-    """Unnormalized log joint density at a concrete (Z, A, pi, delta)."""
-    X, Y = data.X, data.Y
-    N, P = Y.shape
-    K = point.Z.shape[1]
-    if point.Z.shape[0] != data.n_snps or point.A.shape[1] != P:
-        raise ValidationError(
-            f"point shapes Z {point.Z.shape}, A {point.A.shape} do not match "
-            f"data with {data.n_snps} SNPs and {P} traits"
-        )
-    sigma2 = hp.sigma2
-    a0 = hp.alpha / K
-
-    resid = Y - X @ point.Z @ point.A
-    ll = -0.5 * N * P * (LOG_2PI + math.log(sigma2)) - (resid**2).sum() / (2.0 * sigma2)
-
-    log_pi = np.log(point.pi)
-    log_1mpi = np.log1p(-point.pi)
-    lz = float((point.Z * log_pi).sum() + ((1.0 - point.Z) * log_1mpi).sum())
-    lpi = float(K * math.log(a0) + (a0 - 1.0) * log_pi.sum())
-
-    la = float((-0.5 * (LOG_2PI + np.log(point.delta)) - point.A**2 / (2.0 * point.delta)).sum())
-    ld = float(
-        (hp.c * math.log(hp.d) - gammaln(hp.c) - (hp.c + 1.0) * np.log(point.delta) - hp.d / point.delta).sum()
-    )
-
-    total = ll + lz + lpi + la + ld
-    if not np.isfinite(total):
-        raise ValidationError("log joint is not finite; inputs are outside the model support")
-    return float(total)
 
 
 def _result(values: np.ndarray, state: VariationalState):

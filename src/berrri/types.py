@@ -19,7 +19,6 @@ __all__ = [
     "Hyperparameters",
     "VariationalState",
     "PlantedTruth",
-    "ModelPoint",
     "GENOTYPE_VALUES",
     "batch_members",
     "shared_genotypes",
@@ -153,6 +152,8 @@ class Hyperparameters:
 
 
 _STATE_ARRAYS = ("lam", "eta", "phi", "varphi", "kappa")
+# a factor is in use when some SNP's inclusion mean exceeds this
+INCLUSION_THRESHOLD = 0.5
 
 
 @dataclass
@@ -216,9 +217,10 @@ class VariationalState:
             *(getattr(self, name)[None] for name in _STATE_ARRAYS), iteration=self.iteration
         )
 
-    def effective_k(self, threshold: float = 0.5) -> int:
-        """Number of factors with at least one SNP inclusion above threshold."""
-        return int((self.eta.max(axis=0) > threshold).sum())
+    def effective_k(self) -> int:
+        """Number of factors with at least one SNP inclusion above
+        INCLUSION_THRESHOLD."""
+        return int((self.eta.max(axis=0) > INCLUSION_THRESHOLD).sum())
 
     def validate(self):
         Q, K = self.eta.shape
@@ -239,18 +241,13 @@ class VariationalState:
             raise ValidationError("kappa entries must be strictly positive")
         if not (self.varphi > 0).all():
             raise ValidationError("varphi entries must be strictly positive")
-        for name in ("lam", "eta", "phi", "varphi", "kappa"):
+        for name in _STATE_ARRAYS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"non-finite entries in {name}")
 
     def copy(self) -> "VariationalState":
         return VariationalState(
-            lam=self.lam.copy(),
-            eta=self.eta.copy(),
-            phi=self.phi.copy(),
-            varphi=self.varphi.copy(),
-            kappa=self.kappa.copy(),
-            iteration=self.iteration,
+            *(getattr(self, name).copy() for name in _STATE_ARRAYS), iteration=self.iteration
         )
 
 
@@ -310,35 +307,3 @@ class PlantedTruth:
 def derive_mask(Z_true: np.ndarray, A_true: np.ndarray) -> np.ndarray:
     """mask[q, p] = 1 iff some factor k has Z[q, k] = 1 and |A[k, p]| > 0."""
     return (np.asarray(Z_true, dtype=np.float64) @ (np.abs(A_true) > 0)) > 0
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """One concrete assignment of the latent variables (Z, A, pi, delta),
-    used to evaluate the unnormalized log joint density."""
-
-    Z: np.ndarray
-    A: np.ndarray
-    pi: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
-        pi = np.asarray(self.pi, dtype=np.float64)
-        delta = np.asarray(self.delta, dtype=np.float64)
-        K = Z.shape[1] if Z.ndim == 2 else -1
-        if Z.ndim != 2 or A.ndim != 2 or A.shape[0] != K:
-            raise ValidationError(f"inconsistent shapes: Z {Z.shape}, A {A.shape}")
-        if pi.shape != (K,):
-            raise ValidationError(f"pi has shape {pi.shape}, expected ({K},)")
-        if delta.shape != A.shape:
-            raise ValidationError(f"delta has shape {delta.shape}, expected {A.shape}")
-        if not np.isin(Z, (0.0, 1.0)).all():
-            raise ValidationError("Z must be binary")
-        if not ((pi > 0) & (pi < 1)).all():
-            raise ValidationError("pi entries must lie in the open interval (0, 1)")
-        if not (delta > 0).all():
-            raise ValidationError("delta entries must be strictly positive")
-        for name, arr in (("Z", Z), ("A", A), ("pi", pi), ("delta", delta)):
-            object.__setattr__(self, name, arr)

@@ -99,29 +99,6 @@ def elbo_enum(state, data, hp):
     return expected_log_joint_enum(state, data, hp) + entropy_scipy(state)
 
 
-def log_joint_by_hand(point, data, hp):
-    """Term-by-term log joint using scipy.stats densities and explicit loops."""
-    X, Y = data.X, data.Y
-    N, P = Y.shape
-    Q, K = point.Z.shape
-    a0 = hp.alpha / K
-    mean = X @ point.Z @ point.A
-    total = 0.0
-    for n in range(N):
-        for p in range(P):
-            total += stats.norm(mean[n, p], math.sqrt(hp.sigma2)).logpdf(Y[n, p])
-    for q in range(Q):
-        for k in range(K):
-            total += stats.bernoulli(point.pi[k]).logpmf(int(point.Z[q, k]))
-    for k in range(K):
-        total += stats.beta(a0, 1.0).logpdf(point.pi[k])
-    for k in range(K):
-        for p in range(P):
-            total += stats.norm(0.0, math.sqrt(point.delta[k, p])).logpdf(point.A[k, p])
-            total += stats.invgamma(hp.c, scale=hp.d).logpdf(point.delta[k, p])
-    return float(total)
-
-
 def log_marginal_quad(data, hp, k_max=1):
     """log p(Y | X) on a tiny instance: enumeration over Z, the A integral in
     closed form as a Gaussian marginal, and quadrature over the ARD variance.

@@ -13,7 +13,6 @@ from berrri import (
     permute_labels,
     run_permutation_fdr,
     simulate,
-    univariate_bf,
     vmap,
     vmap_signed,
 )
@@ -230,47 +229,3 @@ class TestRunPermutationFdr:
         pools = [null_maxima(s) for s in range(10)]
         p_values = [stats.ks_2samp(pools[0], pools[i]).pvalue for i in range(1, 10)]
         assert min(p_values) > 0.01
-
-
-class TestUnivariateBf:
-    def _dataset(self, n, beta, seed, maf=0.3, noise=1.0):
-        rng = np.random.default_rng(seed)
-        x = rng.binomial(2, maf, size=n).astype(float)
-        y = beta * x + rng.normal(0, noise, size=n)
-        return Dataset(X=x.reshape(-1, 1), Y=y.reshape(-1, 1))
-
-    def test_null_calibration(self):
-        # no true effect: log10 BF <= 0 in at least 95% of draws at large N
-        hits = 0
-        for seed in range(200):
-            data = self._dataset(2000, 0.0, seed)
-            if univariate_bf(data, 0, 0, prior_effect_sd=0.5) <= 0:
-                hits += 1
-        assert hits >= 190
-
-    def test_vanishing_prior_gives_unit_bayes_factor(self):
-        data = self._dataset(100, 0.0, 1)
-        assert univariate_bf(data, 0, 0, prior_effect_sd=1e-9) == pytest.approx(0.0, abs=1e-12)
-
-    def test_power_at_planted_effect(self):
-        # balanced dosage contrast at N=50: the noncentrality is
-        # beta * ||x - mean|| = sqrt(50), so normal theory puts the power of
-        # log10 BF > 2 above 99.9%
-        x = np.array([0.0, 2.0] * 25)
-        hits = 0
-        for seed in range(200):
-            rng = np.random.default_rng(1000 + seed)
-            y = 1.0 * x + rng.normal(0, 1.0, size=50)
-            data = Dataset(X=x.reshape(-1, 1), Y=y.reshape(-1, 1))
-            if univariate_bf(data, 0, 0, prior_effect_sd=0.5) > 2:
-                hits += 1
-        assert hits >= 190
-
-    def test_constant_genotype_returns_none(self):
-        data = Dataset(X=np.ones((10, 1)), Y=np.random.default_rng(0).normal(size=(10, 1)))
-        assert univariate_bf(data, 0, 0) is None
-
-    def test_rejects_bad_prior_sd(self):
-        data = self._dataset(20, 0.0, 2)
-        with pytest.raises(ValidationError):
-            univariate_bf(data, 0, 0, prior_effect_sd=0.0)

@@ -24,6 +24,16 @@ from berrri.types import VariationalState
 from conftest import compose_public_updates, micro_instance
 
 
+def six_member_batch():
+    """The batch of `test_batch_members_match_serial_fits` with its members'
+    starts: they leave at sweeps 50, 60 and 65."""
+    data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
+    datasets = [permute_labels(data, j) for j in range(6)]
+    hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
+    starts = [initial_state(d, replace(hp, seed=j)) for j, d in enumerate(datasets)]
+    return datasets, hp, starts
+
+
 class TestSweep:
     def test_matches_composition_of_public_updates(self):
         data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=31)
@@ -165,13 +175,26 @@ class TestFit:
             outcomes.add((rep.iterations, rep.converged))
         assert {(50, True), (60, True), (65, False)} <= outcomes
 
+    def test_batch_builds_one_workspace(self, monkeypatch):
+        # the genotype constants are built once; members that leave only
+        # shrink the stacked traits and the scratch
+        datasets, hp, starts = six_member_batch()
+        built = []
+
+        class CountingWorkspace(berrri.engine._Workspace):
+            def __init__(self, members):
+                built.append(len(members))
+                super().__init__(members)
+
+        monkeypatch.setattr(berrri.engine, "_Workspace", CountingWorkspace)
+        _, reports = fit(datasets, hp, starts)
+        assert len({rep.iterations for rep in reports}) == 3
+        assert built == [6]
+
     def test_report_keeps_every_check(self):
         # with burn_in 0 the first check needs a 20-sweep trace, then one
         # runs every 10th sweep until the member converges or reaches 65
-        data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
-        datasets = [permute_labels(data, j) for j in range(6)]
-        hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
-        starts = [initial_state(d, replace(hp, seed=j)) for j, d in enumerate(datasets)]
+        datasets, hp, starts = six_member_batch()
         _, reports = fit(datasets, hp, starts)
         assert {rep.converged for rep in reports} == {True, False}
         for rep in reports:

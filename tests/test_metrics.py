@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from berrri import (
     Hyperparameters,
     ValidationError,
-    confidence_interval,
     precision_recall,
     rss,
 )
@@ -105,40 +104,6 @@ class TestPrecisionRecall:
                 recall=np.array([0.5, 0.5]),
                 auc=0.0,
             )
-
-
-class TestConfidenceInterval:
-    def test_constant_samples(self):
-        lo, hi = confidence_interval([2.5, 2.5, 2.5])
-        assert lo == hi == pytest.approx(2.5)
-
-    def test_two_samples_symmetric(self):
-        lo, hi = confidence_interval([0.0, 2.0])
-        assert (lo + hi) / 2 == pytest.approx(1.0)
-        assert lo < 1.0 < hi
-
-    def test_coverage_simulation(self):
-        # 30 standard normals: the 95% interval covers 0 about 95% of the time
-        covered = 0
-        for seed in range(1000):
-            x = np.random.default_rng(seed).normal(size=30)
-            lo, hi = confidence_interval(x, level=0.95)
-            covered += lo <= 0.0 <= hi
-        assert 0.92 <= covered / 1000 <= 0.98
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValidationError, match="2 samples"):
-            confidence_interval([1.0])
-
-    @pytest.mark.parametrize("n", [2, 30])
-    @pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
-    def test_half_width_is_student_t_quantile(self, n, level):
-        from scipy import stats
-
-        x = np.random.default_rng(n).normal(size=n)
-        lo, hi = confidence_interval(x, level=level)
-        half = stats.t.ppf(0.5 + level / 2.0, n - 1) * x.std(ddof=1) / np.sqrt(n)
-        assert (hi - lo) / 2.0 == pytest.approx(half, rel=1e-12)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,73 +1,14 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from berrri import Dataset, Hyperparameters, ValidationError, elbo, fit, log_joint
+from berrri import Dataset, Hyperparameters, ValidationError, elbo, fit
 from berrri.model import entropy, expected_log_joint, expected_residual_ss
-from berrri.types import ModelPoint, VariationalState
+from berrri.types import VariationalState
 
 from conftest import micro_instance, random_state
-from oracles import elbo_enum, log_joint_by_hand, log_marginal_quad
-
-LOG_2PI = math.log(2 * math.pi)
-
-
-def small_point(q=2, k=2, p=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return ModelPoint(
-        Z=rng.integers(0, 2, size=(q, k)).astype(float),
-        A=rng.normal(size=(k, p)),
-        pi=rng.uniform(0.1, 0.9, size=k),
-        delta=rng.uniform(0.3, 2.0, size=(k, p)),
-    )
-
-
-class TestLogJoint:
-    def test_zero_residual_gives_only_normalizers(self):
-        # Z = 0 and Y = 0: the likelihood term reduces to the Gaussian
-        # normalizing constants
-        data = Dataset(X=[[1, 2], [0, 1]], Y=np.zeros((2, 3)))
-        hp = Hyperparameters(sigma2=2.0)
-        point = ModelPoint(
-            Z=np.zeros((2, 2)),
-            A=np.zeros((2, 3)),
-            pi=np.full(2, 0.5),
-            delta=np.ones((2, 3)),
-        )
-        got = log_joint(point, data, hp)
-        n, p = data.Y.shape
-        ll = -0.5 * n * p * (LOG_2PI + math.log(hp.sigma2))
-        prior_only = got - ll
-        # remove the likelihood part and check it exactly
-        point_alt = ModelPoint(Z=point.Z, A=point.A, pi=point.pi, delta=point.delta)
-        hp_alt = Hyperparameters(sigma2=8.0)
-        ll_alt = -0.5 * n * p * (LOG_2PI + math.log(8.0))
-        assert log_joint(point_alt, data, hp_alt) - ll_alt == pytest.approx(prior_only, abs=1e-12)
-
-    def test_doubling_sigma2_increases_loglik_for_large_residual(self):
-        rng = np.random.default_rng(1)
-        data = Dataset(X=rng.integers(0, 3, (3, 2)).astype(float), Y=rng.normal(10.0, 1.0, (3, 2)))
-        point = small_point()
-        lo = log_joint(point, data, Hyperparameters(sigma2=1.0))
-        hi = log_joint(point, data, Hyperparameters(sigma2=2.0))
-        assert hi > lo
-
-    def test_matches_hand_summed_oracle(self):
-        rng = np.random.default_rng(7)
-        data = Dataset(X=rng.integers(0, 3, (2, 2)).astype(float), Y=rng.normal(size=(2, 2)))
-        hp = Hyperparameters(sigma2=0.9, alpha=1.7, c=0.8, d=1.1)
-        for seed in range(5):
-            point = small_point(seed=seed)
-            assert log_joint(point, data, hp) == pytest.approx(
-                log_joint_by_hand(point, data, hp), abs=1e-10
-            )
-
-    def test_shape_mismatch_rejected(self):
-        data = Dataset(X=[[1, 0]], Y=[[1.0]])
-        with pytest.raises(ValidationError):
-            log_joint(small_point(q=3), data, Hyperparameters())
+from oracles import elbo_enum, log_marginal_quad
 
 
 def high_signal_instance(n=3, q=2, p=2, k=2, seed=0):

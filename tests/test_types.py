@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError, VariationalState
-from berrri.types import ModelPoint, derive_mask
+from berrri.types import derive_mask
 
 
 class TestDataset:
@@ -109,23 +109,3 @@ class TestPlantedTruth:
         Z = np.array([[1]])
         A = np.array([[0.0, 1.0]])
         assert (derive_mask(Z, A) == np.array([[False, True]])).all()
-
-
-class TestModelPoint:
-    def test_rejects_pi_on_boundary(self):
-        with pytest.raises(ValidationError, match="pi"):
-            ModelPoint(
-                Z=np.ones((1, 1)),
-                A=np.ones((1, 1)),
-                pi=np.array([1.0]),
-                delta=np.ones((1, 1)),
-            )
-
-    def test_rejects_nonbinary_z(self):
-        with pytest.raises(ValidationError, match="binary"):
-            ModelPoint(
-                Z=np.full((1, 1), 0.5),
-                A=np.ones((1, 1)),
-                pi=np.array([0.5]),
-                delta=np.ones((1, 1)),
-            )
