@@ -13,20 +13,20 @@ two-segment test, checked at a fixed iteration cadence after burn-in.
 Fits of one model that share the genotype matrix X (a real fit and its
 permutation refits) run as one batch under one set of hyperparameters: the
 members differ only in their traits and their initial state.  The state
-carries a leading batch axis, and so does every block.  The inclusion
-kernel shares each SNP step's genotype column product across the batch;
-lambda, the factor residuals, the effect sizes and the ARD variances are
-array operations over the batch axis, and `fit` evaluates the ELBO and the
-trace means of all members with one call each.  A single fit is the batch
-of one.  Every product is formed per member (stacked `matmul`), never as
-one BLAS call across members, so a member's result is bit for bit that of
-the same fit run on its own.
+carries a leading batch axis, and so does every block; the data is one
+`BatchData`, which `fit` builds once and hands to every sweep and ELBO.
+The inclusion kernel shares each SNP step's genotype column product across
+the batch; lambda, the factor residuals, the effect sizes and the ARD
+variances are array operations over the batch axis, and `fit` evaluates the
+ELBO and the trace means of all members with one call each.  A single fit
+is the batch of one.  Every product is formed per member (stacked
+`matmul`), never as one BLAS call across members, so a member's result is
+bit for bit that of the same fit run on its own.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import digamma, erfc
@@ -35,7 +35,7 @@ from . import kernels
 from .errors import EngineError, ValidationError
 from .model import elbo
 from .streams import child_rng
-from .types import Dataset, Hyperparameters, VariationalState, batch_members, shared_genotypes
+from .types import BatchData, Dataset, Hyperparameters, VariationalState, batch_of
 
 __all__ = [
     "TRACE_BLOCKS",
@@ -85,8 +85,7 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     varphi = np.ones((K, P))
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
     _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
-    ws = _Workspace([data])
-    batch = state.as_batch()
+    batch, ws = batch_of(state, data)
     M = ws.X @ batch.eta
     for k in range(K):
         _A_factor_update(batch, ws, hp.sigma2, k, M)
@@ -94,25 +93,11 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     return state
 
 
-class _Workspace:
-    """Constants of one batch of fits: the genotype matrix they share, its
-    transpose and column sums of squares, and their traits stacked B x N x P."""
-
-    def __init__(self, datasets):
-        self.X = shared_genotypes(datasets)
-        self.XT = np.ascontiguousarray(self.X.T)
-        self.x2sum = (self.X**2).sum(axis=0)
-        # a fit on its own holds a view of its traits, not a stacked copy
-        self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
-        # scratch for the members' N x P residuals: reused for every factor,
-        # so a sweep allocates (and page-faults) no N x P temporaries
-        self.residual = np.empty(self.Y.shape)
-
-
 # ---------------------------------------------------------------------------
-# Block updates.  Each block has one core that updates a whole batch (a plain
-# state enters as a batch of one); the public single-entry updates call it on
-# one fit, and `sweep` calls it on the batch with per-factor caching.
+# Block updates.  Each block has one core that updates a whole batch from its
+# BatchData (a plain state with its Dataset enters as a batch of one, see
+# `batch_of`); the public single-entry updates call it on one fit, and
+# `sweep` calls it on the batch with per-factor caching.
 # ---------------------------------------------------------------------------
 
 
@@ -130,23 +115,22 @@ def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
     return state.lam[k, 0], state.lam[k, 1]
 
 
-def _factor_residual(Y: np.ndarray, M: np.ndarray, phi: np.ndarray, k: int, out=None):
-    """Expected residuals Y - M @ phi of every member (Y is B x N x P) with
-    factor k's contribution excluded, that is with column k of the loads M
-    (B x N x K) zeroed (cheaper than adding the N x P outer product
-    M[:, k] phi[k] back).  Written into `out` if given (a sweep passes the
-    workspace's scratch, so it allocates no N x P temporaries)."""
+def _factor_residual(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: int):
+    """Expected residuals Y - M @ phi of every member with factor k's
+    contribution excluded, that is with column k of the loads M (B x N x K)
+    zeroed (cheaper than adding the N x P outer product M[:, k] phi[k]
+    back).  Written into the batch's residual scratch."""
     M_other = M.copy()
     M_other[:, :, k] = 0.0
-    R = np.matmul(M_other, phi, out=out)
-    return np.subtract(Y, R, out=R)
+    R = np.matmul(M_other, phi, out=ws.residual)
+    return np.subtract(ws.Y, R, out=R)
 
 
-def _eta_factor_inputs(batch: VariationalState, X: np.ndarray, Y: np.ndarray, k: int, out=None):
+def _eta_factor_inputs(batch: VariationalState, ws: BatchData, k: int):
     """Per-member quantities that stay fixed across one factor's inclusion
     sweep: the residual projected onto the effect means (B x N), the prior
     logit and the summed effect second moment (length B)."""
-    R = _factor_residual(Y, X @ batch.eta, batch.phi, k, out)
+    R = _factor_residual(ws, ws.X @ batch.eta, batch.phi, k)
     # matmul forms, so a batch of one computes `R @ phi[k]` bit for bit
     U = np.matmul(R, batch.phi[:, k, :, None])[..., 0]
     prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
@@ -161,11 +145,11 @@ def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
     )
 
 
-def _eta_factor_update(batch: VariationalState, ws: _Workspace, sigma2: float, k: int):
+def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int):
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
-    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws.X, ws.Y, k, ws.residual)
+    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
     E = np.ascontiguousarray(batch.eta[:, :, k])
     bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / sigma2)
     if bad is not None:
@@ -177,26 +161,26 @@ def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: i
     """Exact mean-field update of one inclusion probability: the kernel's
     per-SNP step, with only SNP q's logit offset computed.  A non-finite
     logit raises before the SNP is written."""
-    U, prior_logit, sa2 = _eta_factor_inputs(state.as_batch(), data.X, data.Y[None], k)
-    x_q = data.X[:, q]
+    batch, ws = batch_of(state, data)
+    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
     offset, coef = kernels.eta_factor_terms(
-        x_q[None], np.array([x_q @ x_q]), U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
+        ws.XT[q:q + 1], ws.x2sum[q:q + 1], U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
     )
     E = state.eta[:, k].copy()
-    if not np.isfinite(kernels.eta_snp_update(E, data.X.T, q, offset[0], coef)):
+    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[0], coef)):
         raise _nonfinite_logit(k, q, 0, 1)
     state.eta[q, k] = E[q]
     return state.eta[q, k]
 
 
-def _A_factor_update(batch: VariationalState, ws: _Workspace, sigma2: float, k: int, M: np.ndarray):
+def _A_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int, M: np.ndarray):
     """Effect-size row k of every member, given the expected loads M (B x N x K)."""
     eta_k = batch.eta[:, :, k]
     M_k = M[:, :, k]
     # per-member matmul forms, so a member's bits do not depend on its batch
     var_k = np.matmul((eta_k * (1.0 - eta_k))[:, None, :], ws.x2sum)[:, 0]
     S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + var_k
-    MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws.Y, M, batch.phi, k, ws.residual))[:, 0]
+    MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws, M, batch.phi, k))[:, 0]
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):
@@ -211,8 +195,8 @@ def update_A(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int
     The row posterior factorizes over traits, so the covariance is diagonal:
     the returned variance vector is the diagonal of the posterior covariance.
     """
-    batch = state.as_batch()
-    _A_factor_update(batch, _Workspace([data]), hp.sigma2, k, data.X @ batch.eta)
+    batch, ws = batch_of(state, data)
+    _A_factor_update(batch, ws, hp.sigma2, k, ws.X @ batch.eta)
     return state.phi[k].copy(), state.varphi[k].copy()
 
 
@@ -229,26 +213,18 @@ def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
     return state.kappa[k, p, 0], state.kappa[k, p, 1]
 
 
-def sweep(
-    state: VariationalState,
-    data,
-    hp: Hyperparameters,
-    *,
-    workspace: Optional[_Workspace] = None,
-) -> VariationalState:
+def sweep(state: VariationalState, data, hp: Hyperparameters) -> VariationalState:
     """One full coordinate pass in block order lambda, eta, A, kappa.
 
     `state` is one fit's state with its Dataset, or a batch
-    (`VariationalState.stack`) with one Dataset per member, all datasets
-    sharing X; the whole batch runs under the one set of hyperparameters
-    `hp`.  Every block updates the whole batch at once: lambda, the
-    inclusion kernel and the effect sizes factor by factor, the ARD
-    variances in one step.  The result equals, to round-off, the public
+    (`VariationalState.stack`) with the `BatchData` of its members; the
+    whole batch runs under the one set of hyperparameters `hp`.  Every
+    block updates the whole batch at once: lambda, the inclusion kernel and
+    the effect sizes factor by factor, the ARD variances in one step.  The result equals, to round-off, the public
     updates composed in the same order (`update_lambda`, `update_eta` per
     SNP, `update_A`, `update_kappa` per entry).
     """
-    batch, datasets = batch_members(state, data)
-    ws = workspace if workspace is not None else _Workspace(datasets)
+    batch, ws = batch_of(state, data)
     K = state.k_max
 
     # lambda factor by factor: a whole-array sum over the SNP axis would
@@ -439,16 +415,15 @@ def fit(data, hp: Hyperparameters, init_state=None):
                 f"{d.n_snps} x {d.n_traits}"
             )
         states.append(state)
-    ws = _Workspace(datasets)
+    ws = BatchData(datasets)
     monitors = [TraceMonitor(hp.burn_in, hp.check_interval) for _ in range(B)]
     results = [None] * B
     active = list(range(B))
     stack = VariationalState.stack(states)
 
     for n_sweeps in range(1, hp.max_iter + 1):
-        members = [datasets[b] for b in active]
-        sweep(stack, members, hp, workspace=ws)
-        values = elbo(stack, members, hp)
+        sweep(stack, ws, hp)
+        values = elbo(stack, ws, hp)
         means = _block_means(stack)
         staying = []
         for i, b in enumerate(active):
@@ -490,9 +465,7 @@ def fit(data, hp: Hyperparameters, init_state=None):
         if len(staying) < len(active):
             active = [active[i] for i in staying]
             stack = VariationalState.stack([stack.member(i) for i in staying])
-            # the genotype constants stay; only the per-member rows go
-            ws.Y = ws.Y[staying]
-            ws.residual = ws.residual[:len(staying)]
+            ws.keep(staying)
 
     if not batched:
         return results[0]

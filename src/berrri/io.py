@@ -9,7 +9,6 @@ numpy, scipy and Python versions, from which the run is reproducible.
 
 import csv
 import json
-import os
 import platform
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -18,6 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .associate import vmap_signed
 from .errors import ValidationError
 from .types import Dataset, GENOTYPE_VALUES
 
@@ -91,6 +91,7 @@ def load_matrix(path, kind: str) -> MatrixFile:
             rows.append(parsed)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
+    _reject_repeats(path, row_ids, "row ID", "on lines", start=2)
     values = np.vstack(rows)
 
     if kind == "genotype":
@@ -177,6 +178,8 @@ def load_positions(path) -> dict:
                 raise ValidationError(
                     f"{path}: malformed position at line {i}: {rec[1]!r}"
                 ) from None
+            if not np.isfinite(positions[-1]):
+                raise ValidationError(f"{path}: non-finite position at line {i}: {rec[1]!r}")
             ids.append(rec[0])
     _reject_repeats(path, ids, "ID", "on lines", start=1)
     return dict(zip(ids, positions))
@@ -264,10 +267,9 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     and manifest.json.  Returns {name: path}.
     """
     out = _prepare_out_dir(out_dir)
-    signed = scores.signed if scores is not None else state.eta @ state.phi
+    signed = scores.signed if scores is not None else vmap_signed(state)
     magnitude = scores.vmap if scores is not None else np.abs(signed)
-    threshold = scores.threshold if scores is not None else None
-    significant = magnitude >= threshold if threshold is not None else np.zeros_like(magnitude, dtype=bool)
+    significant = scores.discoveries() if scores is not None else np.zeros_like(magnitude, dtype=bool)
     with_distance = dataset.snp_positions is not None and dataset.trait_positions is not None
 
     paths = {}
@@ -320,7 +322,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "elbo_trace": list(report.elbo_trace),
         "convergence_p_values": last_check.p_values if last_check is not None else {},
         "convergence_t_stats": last_check.t_stats if last_check is not None else {},
-        "threshold": threshold,
+        "threshold": scores.threshold if scores is not None else None,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
         "permutation_fits": [

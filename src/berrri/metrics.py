@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine
 from .errors import ValidationError
-from .types import Dataset, Hyperparameters
+from .types import BatchData, Dataset, Hyperparameters
 
 __all__ = [
     "PRCurve",
@@ -112,11 +112,11 @@ def per_sweep_seconds(
     warmup: int = 2,
 ) -> float:
     """Average wall-clock seconds per coordinate sweep on the given data."""
-    state = engine.initial_state(data, hp)
-    ws = engine._Workspace([data])
+    state = engine.initial_state(data, hp).as_batch()
+    batch = BatchData([data])
     for _ in range(warmup):
-        engine.sweep(state, data, hp, workspace=ws)
+        engine.sweep(state, batch, hp)
     start = perf_counter()
     for _ in range(n_sweeps):
-        engine.sweep(state, data, hp, workspace=ws)
+        engine.sweep(state, batch, hp)
     return (perf_counter() - start) / n_sweeps

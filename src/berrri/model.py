@@ -8,7 +8,10 @@ The model's log joint factorizes as
 and the ELBO is E_q[log joint] + H[q] under the factorized posterior held in
 a VariationalState; only this expectation is computed, never the log joint
 at a concrete point.  Both parts decompose additively; tests check the terms
-against independently summed oracles.
+against independently summed oracles.  Every function takes one fit's state
+with its Dataset, or a stacked state with the `BatchData` of its members,
+whose precomputed column sums of squares and trait norms the data term
+reads.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, xlogy
 
 from .errors import EngineError
-from .types import Hyperparameters, VariationalState, batch_members, shared_genotypes
+from .types import BatchData, Hyperparameters, VariationalState, batch_of
 
 __all__ = ["elbo", "expected_log_joint", "expected_residual_ss", "entropy"]
 
@@ -34,29 +37,23 @@ def expected_residual_ss(state: VariationalState, data):
 
     With M = X E[Z] (N x K) the expected residual is
     ||Y||^2 - 2 <phi, M^T Y> + <M^T M, phi phi^T> plus the variance terms,
-    so no N x P array is formed.  A stacked state with one Dataset per
-    member (all sharing X) gives one value per member.
+    so no N x P array is formed.  A stacked state with its BatchData gives
+    one value per member.
     """
-    batch, datasets = batch_members(state, data)
-    return _result(_expected_residual_ss(batch, datasets), state)
+    batch, data = batch_of(state, data)
+    return _result(_expected_residual_ss(batch, data), state)
 
 
-def _expected_residual_ss(batch: VariationalState, datasets) -> np.ndarray:
-    X, eta, phi = shared_genotypes(datasets), batch.eta, batch.phi
-    M = X @ eta                                        # E[X Z], B x N x K
-    G = M.transpose(0, 2, 1) @ M
-    V = np.einsum("nq,nq->q", X, X) @ (eta * (1.0 - eta))  # sum_n Var[(X z_k)_n]
+def _expected_residual_ss(batch: VariationalState, data: BatchData) -> np.ndarray:
+    eta, phi = batch.eta, batch.phi
+    M = data.X @ eta                                   # E[X Z], B x N x K
+    MT = M.transpose(0, 2, 1)
+    G = MT @ M
+    V = data.x2sum @ (eta * (1.0 - eta))               # sum_n Var[(X z_k)_n]
     S = np.diagonal(G, axis1=1, axis2=2) + V           # sum_n E[(X z_k)_n^2]
-    # the members' traits are read one at a time: stacking them would copy
-    # an N x P array per member
-    yy = np.empty(len(datasets))
-    MtY = np.empty(phi.shape)
-    for b, data in enumerate(datasets):
-        yy[b] = np.einsum("np,np->", data.Y, data.Y)
-        np.matmul(M[b].T, data.Y, out=MtY[b])
     rss = (
-        yy
-        - 2.0 * np.einsum("bkp,bkp->b", phi, MtY)
+        data.yy
+        - 2.0 * np.einsum("bkp,bkp->b", phi, MT @ data.Y)
         + np.einsum("bkl,bkl->b", G, phi @ phi.transpose(0, 2, 1))
     )
     # matmul, not einsum, for the K-term dot products: it sums them in the
@@ -80,21 +77,21 @@ def _digammas(batch: VariationalState):
 
 def expected_log_joint(state: VariationalState, data, hp: Hyperparameters):
     """E_q[log p(W, Y | X, theta)] under the factorized posterior; one value
-    per member for a stacked state with a sequence of datasets, all under
-    the one set of hyperparameters."""
-    batch, datasets = batch_members(state, data)
-    return _result(_expected_log_joint(batch, datasets, hp, _digammas(batch)), state)
+    per member for a stacked state with its BatchData, all under the one set
+    of hyperparameters."""
+    batch, data = batch_of(state, data)
+    return _result(_expected_log_joint(batch, data, hp, _digammas(batch)), state)
 
 
-def _expected_log_joint(batch: VariationalState, datasets, hp: Hyperparameters, psi) -> np.ndarray:
-    N, P = datasets[0].Y.shape
+def _expected_log_joint(batch: VariationalState, data: BatchData, hp: Hyperparameters, psi) -> np.ndarray:
+    N, P = data.Y.shape[1:]
     K = batch.k_max
     a0 = hp.alpha / K
     psi1, psi2, psi12, psi_k1, log_k2 = psi
 
     e_lik = (
         -0.5 * N * P * (LOG_2PI + math.log(hp.sigma2))
-        - _expected_residual_ss(batch, datasets) / (2.0 * hp.sigma2)
+        - _expected_residual_ss(batch, data) / (2.0 * hp.sigma2)
     )
 
     e_log_pi = psi1 - psi12                            # B x K
@@ -141,13 +138,13 @@ def elbo(state: VariationalState, data, hp: Hyperparameters):
     """Evidence lower bound E_q[log joint] + H[q]; finite for a valid state.
 
     Takes one fit's state with its Dataset and returns a float, or a stacked
-    state (`VariationalState.stack`) with one Dataset per member (all
-    sharing X) and returns one value per member.  A batch is one model: all
-    members are scored under the one set of hyperparameters.
+    state (`VariationalState.stack`) with the `BatchData` of its members and
+    returns one value per member.  A batch is one model: all members are
+    scored under the one set of hyperparameters.
     """
-    batch, datasets = batch_members(state, data)
+    batch, data = batch_of(state, data)
     psi = _digammas(batch)
-    values = _expected_log_joint(batch, datasets, hp, psi) + _entropy(batch, psi)
+    values = _expected_log_joint(batch, data, hp, psi) + _entropy(batch, psi)
     if not np.isfinite(values).all():
         b = int(np.flatnonzero(~np.isfinite(values))[0])
         member = f" for batch member {b}" if state.eta.ndim == 3 else ""

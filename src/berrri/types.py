@@ -1,4 +1,5 @@
-"""Core domain types: data container, hyperparameters, and variational state.
+"""Core domain types: data container, hyperparameters, variational state, and
+the data of a batch of fits.
 
 The generative model approximates an N x P trait matrix Y as X @ Z @ A plus
 Gaussian noise, where X is an N x Q minor-allele dosage matrix, Z is a Q x K
@@ -8,6 +9,7 @@ a per-entry ARD (inverse-gamma variance) prior.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,8 +22,8 @@ __all__ = [
     "VariationalState",
     "PlantedTruth",
     "GENOTYPE_VALUES",
-    "batch_members",
-    "shared_genotypes",
+    "BatchData",
+    "batch_of",
 ]
 
 GENOTYPE_VALUES = (0.0, 1.0, 2.0)
@@ -251,29 +253,55 @@ class VariationalState:
         )
 
 
-def batch_members(state: VariationalState, data):
-    """(batch, datasets) of a plain or stacked state.
+class BatchData:
+    """The data of a batch of fits: the genotype matrix X its members share,
+    X's column sums of squares, their traits stacked B x N x P and each
+    member's ||Y_b||^2.  X's transpose and the residual scratch are built on
+    first use, so scoring one fit forms neither."""
+
+    def __init__(self, datasets):
+        datasets = list(datasets)
+        X = datasets[0].X
+        for data in datasets[1:]:
+            if data.X is not X and not np.array_equal(data.X, X):
+                raise ValidationError("fits in one batch must share the genotype matrix")
+        self.X = X
+        self.x2sum = np.einsum("nq,nq->q", X, X)
+        # a fit on its own holds a view of its traits, not a stacked copy
+        self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
+        # one reduction per member, so a member's value does not depend on its batch
+        self.yy = np.array([np.einsum("np,np->", Y, Y) for Y in self.Y])
+
+    def __len__(self) -> int:
+        return len(self.Y)
+
+    @cached_property
+    def XT(self) -> np.ndarray:
+        return np.ascontiguousarray(self.X.T)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        # reused for every factor, so a sweep allocates no N x P temporaries
+        return np.empty(self.Y.shape)
+
+    def keep(self, rows):
+        """Keep only the given members; the genotype constants stay."""
+        self.Y = self.Y[rows]
+        self.yy = self.yy[rows]
+        self.__dict__.pop("residual", None)
+
+
+def batch_of(state: VariationalState, data):
+    """(batch, BatchData) of a plain or stacked state.
 
     A plain state with its Dataset enters as a batch of one; a stacked state
-    brings a sequence with one Dataset per member.
+    brings the BatchData of its members.
     """
     if state.eta.ndim == 2:
-        return state.as_batch(), [data]
-    datasets = list(data)
-    if len(state.eta) != len(datasets):
-        raise ValidationError(
-            f"a batch of {len(state.eta)} states needs as many datasets, got {len(datasets)}"
-        )
-    return state, datasets
-
-
-def shared_genotypes(datasets) -> np.ndarray:
-    """The genotype matrix that every dataset of a batch shares."""
-    X = datasets[0].X
-    for data in datasets[1:]:
-        if data.X is not X and not np.array_equal(data.X, X):
-            raise ValidationError("fits in one batch must share the genotype matrix")
-    return X
+        return state.as_batch(), BatchData([data])
+    if not (isinstance(data, BatchData) and len(data) == len(state.eta)):
+        raise ValidationError(f"a batch of {len(state.eta)} states needs a BatchData of as many members")
+    return state, data
 
 
 @dataclass(frozen=True)

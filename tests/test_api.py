@@ -1,6 +1,8 @@
 import argparse
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import berrri
 from berrri.cli import build_parser
@@ -55,3 +57,27 @@ def test_public_surface_is_the_pipeline():
     # a name leaves or joins the package surface only by editing this set
     assert set(berrri.__all__) == PIPELINE_NAMES
     assert len(berrri.__all__) == len(PIPELINE_NAMES) == 28
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module imports but never references and does not list in its
+    `__all__`."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).parent
+    paths = sorted(Path(berrri.__file__).parent.glob("*.py")) + sorted(tests.glob("*.py"))
+    unused = {path.name: names for path in paths if (names := unused_imports(path))}
+    assert not unused

@@ -19,14 +19,14 @@ from berrri import (
     sweep,
 )
 from berrri.metrics import rss
-from berrri.types import VariationalState
+from berrri.types import BatchData, VariationalState
 
 from conftest import compose_public_updates, micro_instance
 
 
 def six_member_batch():
-    """The batch of `test_batch_members_match_serial_fits` with its members'
-    starts: they leave at sweeps 50, 60 and 65."""
+    """The batch of `test_each_batch_member_matches_its_serial_fit` with its
+    members' starts: they leave at sweeps 50, 60 and 65."""
     data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
     datasets = [permute_labels(data, j) for j in range(6)]
     hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
@@ -42,7 +42,7 @@ class TestSweep:
         _, _, second = micro_instance(n=6, q=5, p=4, k=3, seed=51)
         datasets = [batch_data, permute_labels(batch_data, 1)]
         batch = VariationalState.stack([first, second])
-        sweep(batch, datasets, batch_hp)
+        sweep(batch, BatchData(datasets), batch_hp)
         via_sweep = state.copy()
         sweep(via_sweep, data, hp)
         cases = [(via_sweep, state, data, hp)] + [
@@ -99,7 +99,7 @@ class TestSweep:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             EngineError, match=r"factor 1, SNP 0 of batch member 1"
         ):
-            sweep(batch, [data, data], hp)
+            sweep(batch, BatchData([data, data]), hp)
         assert not (batch.eta[:, :, 0] == before[:, :, 0]).all()  # factor 0 ran
         assert (batch.eta[:, :, 1] == before[:, :, 1]).all()
 
@@ -157,7 +157,7 @@ class TestFit:
         with pytest.raises(ValidationError, match="state is for"):
             fit(other, hp, init_state=state)
 
-    def test_batch_members_match_serial_fits(self):
+    def test_each_batch_member_matches_its_serial_fit(self):
         # members converge at different check points (50, 60) and two stop
         # unconverged at max_iter (65); each leaves the batch on its own
         data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=1))
@@ -176,17 +176,18 @@ class TestFit:
         assert {(50, True), (60, True), (65, False)} <= outcomes
 
     def test_batch_builds_one_workspace(self, monkeypatch):
-        # the genotype constants are built once; members that leave only
-        # shrink the stacked traits and the scratch
+        # the batch's data is built once, not per sweep or ELBO; members
+        # that leave only shrink the stacked traits and the scratch
         datasets, hp, starts = six_member_batch()
         built = []
 
-        class CountingWorkspace(berrri.engine._Workspace):
+        class CountingBatchData(BatchData):
             def __init__(self, members):
                 built.append(len(members))
                 super().__init__(members)
 
-        monkeypatch.setattr(berrri.engine, "_Workspace", CountingWorkspace)
+        monkeypatch.setattr(berrri.engine, "BatchData", CountingBatchData)
+        monkeypatch.setattr(berrri.types, "BatchData", CountingBatchData)
         _, reports = fit(datasets, hp, starts)
         assert len({rep.iterations for rep in reports}) == 3
         assert built == [6]

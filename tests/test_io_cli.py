@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import inspect
-import json
 import os
 import platform
 
@@ -11,7 +10,7 @@ import scipy
 
 import berrri
 
-from berrri import Hyperparameters, SimConfig, fit, simulate, vmap
+from berrri import Hyperparameters, SimConfig, fit, simulate
 from berrri import io
 from berrri.cli import run
 from berrri.errors import ValidationError
@@ -107,6 +106,20 @@ class TestLoadDataset:
         gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
         (tmp_path / "sp.tsv").write_text("s1\t100\ns2\t250\ns1\t900\n")
         with pytest.raises(ValidationError, match=r"sp\.tsv: ID 's1' appears twice, on lines 1 and 3"):
+            io.load_dataset(gx, gy, tmp_path / "sp.tsv")
+
+    def test_repeated_row_id_names_both_lines(self, tmp_path):
+        gx = write_matrix(tmp_path / "x.tsv", [[0], [1]], ["ind0", "ind0"], ["s1"])
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0], [2.0]], ["ind0", "ind0"], ["t1"])
+        with pytest.raises(ValidationError, match=r"x\.tsv: row ID 'ind0' appears twice, on lines 2 and 3"):
+            io.load_dataset(gx, gy)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_position_names_its_line(self, tmp_path, text):
+        gx = write_matrix(tmp_path / "x.tsv", [[0, 1]], ["a"], ["s1", "s2"])
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
+        (tmp_path / "sp.tsv").write_text(f"s1\t100\ns2\t{text}\n")
+        with pytest.raises(ValidationError, match=rf"sp\.tsv: non-finite position at line 2: '{text}'"):
             io.load_dataset(gx, gy, tmp_path / "sp.tsv")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from berrri import Dataset, Hyperparameters, ValidationError, elbo, fit
 from berrri.model import entropy, expected_log_joint, expected_residual_ss
-from berrri.types import VariationalState
+from berrri.types import BatchData, VariationalState
 
 from conftest import micro_instance, random_state
 from oracles import elbo_enum, log_marginal_quad
@@ -63,7 +63,7 @@ class TestElbo:
         # one fit, and a batch of three that shares X
         for members, args in (
             (1, (states[0], datasets[0], hp)),
-            (3, (VariationalState.stack(states), datasets, hp)),
+            (3, (VariationalState.stack(states), BatchData(datasets), hp)),
         ):
             elbo(*args)  # warm-up, so one-time allocations are not counted
             tracemalloc.start()
@@ -84,25 +84,26 @@ class TestElbo:
         rng = np.random.default_rng(61)
         datasets = [data] + [Dataset(X=data.X, Y=rng.normal(size=data.Y.shape)) for _ in range(2)]
         states = [random_state(q=5, p=4, k=3, seed=62 + b) for b in range(3)]
-        batch = VariationalState.stack(states)
+        batch, batch_data = VariationalState.stack(states), BatchData(datasets)
         for fn, args, member_args in (
-            (elbo, (batch, datasets, hp), zip(states, datasets, [hp] * 3)),
-            (expected_log_joint, (batch, datasets, hp), zip(states, datasets, [hp] * 3)),
-            (expected_residual_ss, (batch, datasets), zip(states, datasets)),
+            (elbo, (batch, batch_data, hp), zip(states, datasets, [hp] * 3)),
+            (expected_log_joint, (batch, batch_data, hp), zip(states, datasets, [hp] * 3)),
+            (expected_residual_ss, (batch, batch_data), zip(states, datasets)),
             (entropy, (batch,), zip(states)),
         ):
             got = fn(*args)
             assert got.shape == (3,)
-            assert np.allclose(got, [fn(*m) for m in member_args], rtol=1e-12, atol=0), fn.__name__
+            # no product sums across members, so each value is exactly its own
+            assert (got == [fn(*m) for m in member_args]).all(), fn.__name__
 
-    def test_batch_needs_shared_genotypes_and_one_entry_per_member(self):
+    def test_batch_data_needs_one_genotype_matrix_and_one_entry_per_member(self):
         data, hp, state = micro_instance(n=6, q=5, p=4, k=2, seed=63)
         other, _, _ = micro_instance(n=6, q=5, p=4, k=2, seed=64)
         batch = VariationalState.stack([state, state])
         with pytest.raises(ValidationError, match="share the genotype matrix"):
-            elbo(batch, [data, other], hp)
-        with pytest.raises(ValidationError, match="as many datasets"):
-            elbo(batch, [data], hp)
+            BatchData([data, other])
+        with pytest.raises(ValidationError, match="as many members"):
+            elbo(batch, BatchData([data]), hp)
 
     def test_decomposition_is_additive(self):
         data, hp, state = micro_instance(seed=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError, VariationalState
+from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError
 from berrri.types import derive_mask
 
 
