@@ -18,7 +18,6 @@ from .associate import (
 )
 from .engine import (
     FitReport,
-    TraceMonitor,
     check_convergence,
     fit,
     geweke_statistic,
@@ -48,7 +47,6 @@ __all__ = [
     "PRCurve",
     "PlantedTruth",
     "SimConfig",
-    "TraceMonitor",
     "ValidationError",
     "VariationalState",
     "check_convergence",

@@ -39,25 +39,29 @@ def _check_fdr_target(fdr_target: float):
 class AssociationScores:
     """Q x P association scores plus permutation-FDR calibration metadata.
 
-    vmap holds the score magnitudes, signed the raw posterior-mean products.
+    signed holds the raw posterior-mean products; the score magnitudes
+    (vmap) and the permutation count follow from the stored fields.
     threshold is None when no score reaches the FDR target.
     permutation_reports holds the FitReport of each permutation refit.
     """
 
-    vmap: np.ndarray
     signed: np.ndarray
     fdr_target: float
-    n_permutations: int = 0
     threshold: Optional[float] = None
     null_scores: Optional[np.ndarray] = None
     permutation_reports: tuple = ()
 
     def __post_init__(self):
-        if self.vmap.shape != self.signed.shape:
-            raise ValidationError(
-                f"score shapes differ: {self.vmap.shape} vs {self.signed.shape}"
-            )
         _check_fdr_target(self.fdr_target)
+
+    @property
+    def vmap(self) -> np.ndarray:
+        """The score magnitudes |signed|."""
+        return np.abs(self.signed)
+
+    @property
+    def n_permutations(self) -> int:
+        return len(self.permutation_reports)
 
     def discoveries(self) -> np.ndarray:
         """Boolean Q x P matrix: scores at or above the threshold."""
@@ -154,8 +158,6 @@ def run_permutation_fdr(
         seed = int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0])
         starts.append(engine.initial_state(d, replace(hp, seed=seed)))
     (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], hp, starts)
-    signed = vmap_signed(state)
-    scores = np.abs(signed)
     for j, perm_report in enumerate(perm_reports):
         logger.info(
             "permutation %d (batch member %d): %s after %d iterations, final elbo %.6f",
@@ -175,12 +177,10 @@ def run_permutation_fdr(
             )
     null = np.concatenate([vmap(s).ravel() for s in perm_states])
 
-    threshold = fdr_threshold(scores.ravel(), null, fdr_target)
+    threshold = fdr_threshold(vmap(state).ravel(), null, fdr_target)
     result = AssociationScores(
-        vmap=scores,
-        signed=signed,
+        signed=vmap_signed(state),
         fdr_target=fdr_target,
-        n_permutations=n_permutations,
         threshold=threshold,
         null_scores=null,
         permutation_reports=tuple(perm_reports),

@@ -183,7 +183,7 @@ def _cmd_fit(args) -> int:
         "converged" if report.converged else "stopped",
         report.iterations,
         report.converged,
-        report.k_effective,
+        state.effective_k(),
         paths["manifest"],
     )
     return 0

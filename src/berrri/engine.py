@@ -8,7 +8,9 @@ decreases; updates within a block run sequentially (Gauss-Seidel) because the
 factors couple through the shared residual.
 
 Convergence is judged from per-block scalar traces with a Geweke-style
-two-segment test, checked at a fixed iteration cadence after burn-in.
+two-segment test, checked at a fixed iteration cadence after burn-in.  Each
+fit's `FitReport` holds those traces, its ELBO trace and every check; the
+state holds only the variational parameters.
 
 Fits of one model that share the genotype matrix X (a real fit and its
 permutation refits) run as one batch under one set of hyperparameters: the
@@ -39,7 +41,6 @@ from .types import BatchData, Dataset, Hyperparameters, VariationalState, batch_
 
 __all__ = [
     "TRACE_BLOCKS",
-    "TraceMonitor",
     "ConvergenceCheck",
     "FitReport",
     "initial_state",
@@ -240,8 +241,6 @@ def sweep(state: VariationalState, data, hp: Hyperparameters) -> VariationalStat
         _A_factor_update(batch, ws, hp.sigma2, k, M)
 
     _kappa_update(batch.kappa, batch.varphi, batch.phi, hp.c, hp.d)
-
-    state.iteration += 1
     return state
 
 
@@ -261,11 +260,14 @@ def _block_means(batch: VariationalState) -> np.ndarray:
 
 
 @dataclass
-class TraceMonitor:
-    """The record of one fit's progress: per-block scalar traces (the mean
-    of each parameter block, one value per sweep), the ELBO of every sweep,
-    every convergence check run on the traces, and the number of sweeps that
-    lowered the ELBO; plus the burn-in and check cadence settings."""
+class FitReport:
+    """The record of one fit, kept by `fit` while the fit runs and returned
+    when it stops: per-block scalar traces (the mean of each parameter
+    block, one value per sweep), the ELBO of every sweep, every convergence
+    check run on the traces (empty if none ran) and the number of sweeps
+    that lowered the ELBO; plus the burn-in and check cadence settings.
+    The sweep count, final ELBO and convergence follow from these.  It
+    holds no timing, so identical fits give equal reports."""
 
     burn_in: int = 100
     check_interval: int = 100
@@ -286,14 +288,25 @@ class TraceMonitor:
         self.elbo_decreases += fell
         return fell
 
-    def __len__(self) -> int:
+    @property
+    def iterations(self) -> int:
+        """The number of sweeps recorded."""
         return len(self.traces["lambda"])
+
+    @property
+    def final_elbo(self) -> float:
+        return self.elbo_trace[-1]
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last convergence check passed; False if none ran."""
+        return bool(self.checks) and self.checks[-1].converged
 
     def post_burn(self, block: str) -> np.ndarray:
         return np.asarray(self.traces[block][self.burn_in:], dtype=np.float64)
 
     def ready(self) -> bool:
-        n = len(self)
+        n = self.iterations
         return n - self.burn_in >= _MIN_POST_BURN and n % self.check_interval == 0
 
 
@@ -337,11 +350,11 @@ def geweke_statistic(trace):
     return float(t), p, False
 
 
-def check_convergence(monitor: TraceMonitor, hp: Hyperparameters) -> ConvergenceCheck:
+def check_convergence(report: FitReport, hp: Hyperparameters) -> ConvergenceCheck:
     """Geweke test on every block trace; converged iff all p exceed p_thresh."""
     t_stats, p_values, degenerate = {}, {}, []
     for block in TRACE_BLOCKS:
-        t, p, degen = geweke_statistic(monitor.post_burn(block))
+        t, p, degen = geweke_statistic(report.post_burn(block))
         t_stats[block] = t
         p_values[block] = p
         if degen:
@@ -352,7 +365,7 @@ def check_convergence(monitor: TraceMonitor, hp: Hyperparameters) -> Convergence
         p_values=p_values,
         converged=converged,
         degenerate=tuple(degenerate),
-        iteration=len(monitor),
+        iteration=report.iterations,
     )
 
 
@@ -361,25 +374,8 @@ def check_convergence(monitor: TraceMonitor, hp: Hyperparameters) -> Convergence
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """How one fit went, taken from its `TraceMonitor` when it stopped:
-    whether its last convergence check passed, the sweeps run, the final
-    ELBO and effective K, the ELBO of every sweep, every convergence check
-    in order (empty if none ran) and the count of sweeps that lowered the
-    ELBO.  It holds no timing, so identical fits give equal reports."""
-
-    converged: bool
-    iterations: int
-    final_elbo: float
-    k_effective: int
-    elbo_trace: tuple
-    checks: tuple
-    elbo_decreases: int
-
-
 def fit(data, hp: Hyperparameters, init_state=None):
-    """Run coordinate ascent until the trace monitor converges or max_iter.
+    """Run coordinate ascent until the convergence check passes or max_iter.
 
     Fits one Dataset and returns (state, report).  Given a sequence of
     Datasets that share X and, if any, a sequence of initial states, fits
@@ -387,14 +383,16 @@ def fit(data, hp: Hyperparameters, init_state=None):
     the list of states and the list of reports; each member stops at its
     own converged check, and those still running stop at max_iter.  A
     member's start is `initial_state(data, hp)` unless given, so members
-    that should start apart are given their own initial states.  Each
-    member's progress (block traces, ELBO trace, checks, ELBO decreases)
-    lives in its own `TraceMonitor`, from which its report is built.
-    Deterministic for a given (data, hp, seed): identical runs produce
-    identical parameter traces and reports.  Non-convergence at max_iter is
-    reported, not raised.  Every update should raise the ELBO, so each sweep
-    that lowers it by more than ELBO_DECREASE_RTOL of its previous value is
-    logged as a warning and counted in the report's elbo_decreases.
+    that should start apart are given their own initial states; a given
+    state is left unchanged.  Each member's `FitReport` records its
+    progress (block traces, ELBO trace, checks, ELBO decreases) as it runs
+    and is returned as it stands when the member stops; its sweep count
+    covers this fit's sweeps only.  Deterministic for a given (data, hp,
+    seed): identical runs produce identical parameter traces and reports.
+    Non-convergence at max_iter is reported, not raised.  Every update
+    should raise the ELBO, so each sweep that lowers it by more than
+    ELBO_DECREASE_RTOL of its previous value is logged as a warning and
+    counted in the report's elbo_decreases.
     """
     batched = not isinstance(data, Dataset)
     datasets = list(data) if batched else [data]
@@ -407,7 +405,7 @@ def fit(data, hp: Hyperparameters, init_state=None):
         )
     states = []
     for d, init in zip(datasets, inits):
-        state = init.copy() if init is not None else initial_state(d, hp)
+        state = init if init is not None else initial_state(d, hp)
         state.validate()
         if state.n_snps != d.n_snps or state.n_traits != d.n_traits:
             raise ValidationError(
@@ -416,7 +414,7 @@ def fit(data, hp: Hyperparameters, init_state=None):
             )
         states.append(state)
     ws = BatchData(datasets)
-    monitors = [TraceMonitor(hp.burn_in, hp.check_interval) for _ in range(B)]
+    reports = [FitReport(hp.burn_in, hp.check_interval) for _ in range(B)]
     results = [None] * B
     active = list(range(B))
     stack = VariationalState.stack(states)
@@ -427,39 +425,30 @@ def fit(data, hp: Hyperparameters, init_state=None):
         means = _block_means(stack)
         staying = []
         for i, b in enumerate(active):
-            monitor = monitors[b]
-            if monitor.record(means[i], values[i]):
+            report = reports[b]
+            if report.record(means[i], values[i]):
                 logger.warning(
                     "%siteration %d: elbo fell from %.6f to %.6f",
                     f"batch member {b}: " if batched else "",
-                    stack.iteration,
-                    *monitor.elbo_trace[-2:],
+                    n_sweeps,
+                    *report.elbo_trace[-2:],
                 )
-            converged = False
-            if monitor.ready():
-                check = check_convergence(monitor, hp)
-                monitor.checks.append(check)
+            if report.ready():
+                check = check_convergence(report, hp)
+                report.checks.append(check)
                 logger.info(
                     "%siteration %d: elbo=%.6f p-values=%s",
                     f"batch member {b}: " if batched else "",
-                    stack.iteration,
-                    monitor.elbo_trace[-1],
+                    n_sweeps,
+                    report.final_elbo,
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
-                converged = check.converged
-            if not (converged or n_sweeps == hp.max_iter):
+            # without a check this sweep the last one failed, or the member
+            # would have stopped at it
+            if not (report.converged or n_sweeps == hp.max_iter):
                 staying.append(i)
                 continue
-            final = stack.member(i).copy()
-            results[b] = final, FitReport(
-                converged=converged,
-                iterations=final.iteration,
-                final_elbo=monitor.elbo_trace[-1],
-                k_effective=final.effective_k(),
-                elbo_trace=tuple(monitor.elbo_trace),
-                checks=tuple(monitor.checks),
-                elbo_decreases=monitor.elbo_decreases,
-            )
+            results[b] = stack.member(i).copy()
         if not staying:
             break
         if len(staying) < len(active):
@@ -468,5 +457,5 @@ def fit(data, hp: Hyperparameters, init_state=None):
             ws.keep(staying)
 
     if not batched:
-        return results[0]
-    return [r[0] for r in results], [r[1] for r in results]
+        return results[0], reports[0]
+    return results, reports

@@ -268,7 +268,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     """
     out = _prepare_out_dir(out_dir)
     signed = scores.signed if scores is not None else vmap_signed(state)
-    magnitude = scores.vmap if scores is not None else np.abs(signed)
+    magnitude = np.abs(signed)
     significant = scores.discoveries() if scores is not None else np.zeros_like(magnitude, dtype=bool)
     with_distance = dataset.snp_positions is not None and dataset.trait_positions is not None
 
@@ -318,7 +318,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "iterations": report.iterations,
         "final_elbo": report.final_elbo,
         "elbo_decreases": report.elbo_decreases,
-        "k_effective": report.k_effective,
+        "k_effective": state.effective_k(),
         "elbo_trace": list(report.elbo_trace),
         "convergence_p_values": last_check.p_values if last_check is not None else {},
         "convergence_t_stats": last_check.t_stats if last_check is not None else {},

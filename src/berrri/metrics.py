@@ -37,12 +37,12 @@ def rss(y_true, y_pred) -> float:
 
 @dataclass(frozen=True)
 class PRCurve:
-    """Precision/recall at a strictly decreasing list of score thresholds."""
+    """Precision/recall at a strictly decreasing list of score thresholds;
+    the area under the curve follows from them."""
 
     thresholds: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
-    auc: float
 
     def __post_init__(self):
         t, pr, rc = (np.asarray(a, dtype=np.float64) for a in (self.thresholds, self.precision, self.recall))
@@ -58,6 +58,12 @@ class PRCurve:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @property
+    def auc(self) -> float:
+        """The step-wise average precision sum_i (r_i - r_{i-1}) p_i over
+        the thresholds, with r_0 = 0."""
+        return float(np.sum(np.diff(self.recall, prepend=0.0) * self.precision))
+
     def precision_at_recall(self, level: float) -> Optional[float]:
         """Precision at the first (largest) threshold reaching the recall level."""
         hit = np.nonzero(self.recall >= level)[0]
@@ -72,8 +78,6 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
 
     Default thresholds are the unique observed scores in descending order,
     subsampled to at most 500 points.  Precision with zero predictions is 1.
-    The area is the step-wise average precision sum_i (r_i - r_{i-1}) p_i
-    over the thresholds, with r_0 = 0.
     """
     s = np.asarray(scores, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -101,8 +105,7 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
         n_pred = int(predicted.sum())
         precision[i] = tp / n_pred if n_pred else 1.0
         recall[i] = tp / positives
-    auc = float(np.sum(np.diff(recall, prepend=0.0) * precision))
-    return PRCurve(thresholds=t, precision=precision, recall=recall, auc=auc)
+    return PRCurve(thresholds=t, precision=precision, recall=recall)
 
 
 def per_sweep_seconds(

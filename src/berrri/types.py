@@ -180,7 +180,6 @@ class VariationalState:
     phi: np.ndarray
     varphi: np.ndarray
     kappa: np.ndarray
-    iteration: int = 0
 
     @property
     def n_snps(self) -> int:
@@ -196,28 +195,19 @@ class VariationalState:
 
     @classmethod
     def stack(cls, states) -> "VariationalState":
-        """Copy plain states of one shape and iteration into one batch."""
+        """Copy plain states of one shape into one batch."""
         states = list(states)
         if len({tuple(getattr(s, name).shape for name in _STATE_ARRAYS) for s in states}) != 1:
             raise ValidationError("states in one batch must have the same shapes")
-        if len({s.iteration for s in states}) != 1:
-            raise ValidationError("states in one batch must be at the same iteration")
-        return cls(
-            *(np.stack([getattr(s, name) for s in states]) for name in _STATE_ARRAYS),
-            iteration=states[0].iteration,
-        )
+        return cls(*(np.stack([getattr(s, name) for s in states]) for name in _STATE_ARRAYS))
 
     def member(self, b: int) -> "VariationalState":
         """Member b of a batch, as a plain state whose arrays are views."""
-        return VariationalState(
-            *(getattr(self, name)[b] for name in _STATE_ARRAYS), iteration=self.iteration
-        )
+        return VariationalState(*(getattr(self, name)[b] for name in _STATE_ARRAYS))
 
     def as_batch(self) -> "VariationalState":
         """A plain state as a batch of one whose arrays are views of its own."""
-        return VariationalState(
-            *(getattr(self, name)[None] for name in _STATE_ARRAYS), iteration=self.iteration
-        )
+        return VariationalState(*(getattr(self, name)[None] for name in _STATE_ARRAYS))
 
     def effective_k(self) -> int:
         """Number of factors with at least one SNP inclusion above
@@ -248,9 +238,7 @@ class VariationalState:
                 raise ValidationError(f"non-finite entries in {name}")
 
     def copy(self) -> "VariationalState":
-        return VariationalState(
-            *(getattr(self, name).copy() for name in _STATE_ARRAYS), iteration=self.iteration
-        )
+        return VariationalState(*(getattr(self, name).copy() for name in _STATE_ARRAYS))
 
 
 class BatchData:
@@ -261,10 +249,14 @@ class BatchData:
 
     def __init__(self, datasets):
         datasets = list(datasets)
-        X = datasets[0].X
-        for data in datasets[1:]:
+        X, shape = datasets[0].X, datasets[0].Y.shape
+        for b, data in enumerate(datasets[1:], start=1):
             if data.X is not X and not np.array_equal(data.X, X):
                 raise ValidationError("fits in one batch must share the genotype matrix")
+            if data.Y.shape != shape:
+                raise ValidationError(
+                    f"batch member {b} has traits of shape {data.Y.shape}, member 0 has {shape}"
+                )
         self.X = X
         self.x2sum = np.einsum("nq,nq->q", X, X)
         # a fit on its own holds a view of its traits, not a stacked copy
@@ -298,6 +290,8 @@ def batch_of(state: VariationalState, data):
     brings the BatchData of its members.
     """
     if state.eta.ndim == 2:
+        if not isinstance(data, Dataset):
+            raise ValidationError("a single state needs its Dataset")
         return state.as_batch(), BatchData([data])
     if not (isinstance(data, BatchData) and len(data) == len(state.eta)):
         raise ValidationError(f"a batch of {len(state.eta)} states needs a BatchData of as many members")
@@ -329,9 +323,5 @@ class PlantedTruth:
 
     @property
     def mask(self) -> np.ndarray:
-        return derive_mask(self.Z_true, self.A_true)
-
-
-def derive_mask(Z_true: np.ndarray, A_true: np.ndarray) -> np.ndarray:
-    """mask[q, p] = 1 iff some factor k has Z[q, k] = 1 and |A[k, p]| > 0."""
-    return (np.asarray(Z_true, dtype=np.float64) @ (np.abs(A_true) > 0)) > 0
+        """mask[q, p] = 1 iff some factor k has Z[q, k] = 1 and |A[k, p]| > 0."""
+        return (self.Z_true.astype(np.float64) @ (np.abs(self.A_true) > 0)) > 0

@@ -17,7 +17,6 @@ PIPELINE_NAMES = {
     "PRCurve",
     "PlantedTruth",
     "SimConfig",
-    "TraceMonitor",
     "ValidationError",
     "VariationalState",
     "check_convergence",
@@ -56,7 +55,7 @@ def test_exports_resolve_and_cli_has_four_subcommands():
 def test_public_surface_is_the_pipeline():
     # a name leaves or joins the package surface only by editing this set
     assert set(berrri.__all__) == PIPELINE_NAMES
-    assert len(berrri.__all__) == len(PIPELINE_NAMES) == 28
+    assert len(berrri.__all__) == len(PIPELINE_NAMES) == 27
 
 
 def unused_imports(path: Path) -> list:

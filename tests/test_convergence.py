@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from berrri import Hyperparameters, TraceMonitor, ValidationError, check_convergence, geweke_statistic
+from berrri import FitReport, Hyperparameters, ValidationError, check_convergence, geweke_statistic
 from berrri.engine import TRACE_BLOCKS
 
 # one sweep's block means, one per block in TRACE_BLOCKS order
@@ -46,34 +46,34 @@ class TestGewekeStatistic:
             geweke_statistic(np.random.default_rng(2).normal(size=19))
 
 
-class TestTraceMonitor:
+class TestFitReport:
     def test_records_one_scalar_per_block_per_iteration(self):
-        mon = TraceMonitor(burn_in=2, check_interval=5)
+        mon = FitReport(burn_in=2, check_interval=5)
         for _ in range(7):
             mon.record(MEANS, -1.0)
-        assert len(mon) == 7
+        assert mon.iterations == 7
         for block in TRACE_BLOCKS:
             assert len(mon.traces[block]) == 7
         assert mon.elbo_trace == [-1.0] * 7 and mon.elbo_decreases == 0
 
     def test_post_burn_slices_off_burn_in(self):
-        mon = TraceMonitor(burn_in=3, check_interval=5)
+        mon = FitReport(burn_in=3, check_interval=5)
         for _ in range(10):
             mon.record(MEANS, -1.0)
         assert mon.post_burn("eta").size == 7
 
     def test_ready_needs_cadence_and_min_length(self):
-        mon = TraceMonitor(burn_in=5, check_interval=10)
+        mon = FitReport(burn_in=5, check_interval=10)
         for i in range(1, 41):
             mon.record(MEANS, -1.0)
             if i < 30:
                 assert not mon.ready() or i % 10 != 0 or i - 5 >= 20
-        assert len(mon) == 40 and mon.ready()
+        assert mon.iterations == 40 and mon.ready()
 
 
 class TestCheckConvergence:
     def _monitor_with(self, traces):
-        mon = TraceMonitor(burn_in=0, check_interval=1)
+        mon = FitReport(burn_in=0, check_interval=1)
         n = len(next(iter(traces.values())))
         for block in TRACE_BLOCKS:
             mon.traces[block] = list(traces.get(block, np.zeros(n)))

@@ -138,10 +138,13 @@ class TestFit:
                 [np.full((K, P), hp.c + 0.5), hp.d + (1e-10 + A**2) / 2.0], axis=-1
             ),
         )
+        before = init.copy()
         state, report = fit(data, hp, init_state=init)
         assert report.converged
         assert len(report.checks) <= 2
         assert rss(data.Y, X @ state.eta @ state.phi) < 1e-3
+        for name in ("lam", "eta", "phi", "varphi", "kappa"):
+            assert np.array_equal(getattr(init, name), getattr(before, name)), name
 
     def test_nonconvergence_reported_not_raised(self):
         cfg = SimConfig(n_individuals=20, n_snps=6, n_traits=4, k_true=2, seed=4)
@@ -169,7 +172,7 @@ class TestFit:
         for d, h, st, rep in zip(datasets, hps, states, reports):
             alone, alone_rep = fit(d, h)
             assert rep == alone_rep
-            assert st.iteration == rep.iterations == len(rep.elbo_trace)
+            assert rep.iterations == len(rep.elbo_trace)
             assert np.array_equal(st.eta, alone.eta)
             assert np.array_equal(st.phi, alone.phi)
             outcomes.add((rep.iterations, rep.converged))
@@ -211,17 +214,38 @@ class TestFit:
             fit([data, other], hp)
         with pytest.raises(ValidationError, match="one initial state"):
             fit([data, data], hp, [initial_state(data, hp)])
+        fewer = Dataset(X=data.X, Y=data.Y[:, :2])
+        with pytest.raises(
+            ValidationError, match=r"member 1 has traits of shape \(20, 2\), member 0 has \(20, 3\)"
+        ):
+            fit([data, fewer], hp)
+
+    def test_sweep_count_covers_this_fit_only(self):
+        # a start already swept twice: the report counts this fit's sweeps
+        # only, and it can share a batch with a fresh start
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=1))
+        hp = Hyperparameters(k_max=2, burn_in=0, check_interval=10, max_iter=30)
+        swept = initial_state(data, hp)
+        for _ in range(2):
+            sweep(swept, data, hp)
+        _, report = fit(data, hp, init_state=swept)
+        assert report.iterations == len(report.elbo_trace) <= hp.max_iter
+        assert [c.iteration for c in report.checks] == list(range(20, report.iterations + 1, 10))
+        fresh = initial_state(data, replace(hp, seed=1))
+        states, reports = fit([data, data], hp, [swept, fresh])
+        for start, st, rep in zip((swept, fresh), states, reports):
+            alone, alone_rep = fit(data, hp, init_state=start)
+            assert rep == alone_rep
+            assert np.array_equal(st.eta, alone.eta) and np.array_equal(st.phi, alone.phi)
 
     def test_report_fields_consistent(self):
         cfg = SimConfig(n_individuals=30, n_snps=10, n_traits=5, k_true=2, seed=6)
         data, _ = simulate(cfg)
         hp = Hyperparameters(k_max=4, seed=6, burn_in=20, check_interval=20, max_iter=100)
-        state, report = fit(data, hp)
+        _, report = fit(data, hp)
         assert report.iterations <= hp.max_iter
-        assert report.k_effective <= hp.k_max
         assert len(report.elbo_trace) == report.iterations
         assert report.final_elbo == report.elbo_trace[-1]
-        assert report.k_effective == state.effective_k()
 
     def test_monotone_fit_reports_no_elbo_decrease(self, caplog):
         data, _ = simulate(SimConfig(n_individuals=30, n_snps=10, n_traits=5, k_true=2, seed=6))
@@ -240,6 +264,6 @@ class TestFit:
         hp = Hyperparameters(k_max=2, burn_in=5, check_interval=100, max_iter=len(values))
         with caplog.at_level(logging.WARNING, logger="berrri"):
             _, report = fit(data, hp)
-        assert report.elbo_trace == tuple(values)
+        assert report.elbo_trace == values
         assert report.elbo_decreases == 2
         assert caplog.text.count("elbo fell") == 2

@@ -176,8 +176,7 @@ class TestSaveResults:
         data, state, report = self._fitted()
         signed = state.eta @ state.phi
         scores = AssociationScores(
-            vmap=np.abs(signed), signed=signed, fdr_target=0.1,
-            n_permutations=1, threshold=float(np.quantile(np.abs(signed), 0.8)),
+            signed=signed, fdr_target=0.1, threshold=float(np.quantile(np.abs(signed), 0.8)),
         )
         paths = io.save_results(tmp_path / "r", data, state, report, scores=scores)
         reloaded = io.load_matrix(paths["vmap_matrix"], "trait")

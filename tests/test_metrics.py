@@ -102,7 +102,6 @@ class TestPrecisionRecall:
                 thresholds=np.array([1.0, 1.0]),
                 precision=np.array([1.0, 1.0]),
                 recall=np.array([0.5, 0.5]),
-                auc=0.0,
             )
 
 

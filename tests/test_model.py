@@ -104,6 +104,8 @@ class TestElbo:
             BatchData([data, other])
         with pytest.raises(ValidationError, match="as many members"):
             elbo(batch, BatchData([data]), hp)
+        with pytest.raises(ValidationError, match="a single state needs its Dataset"):
+            elbo(state, BatchData([data]), hp)
 
     def test_decomposition_is_additive(self):
         data, hp, state = micro_instance(seed=5)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError
-from berrri.types import derive_mask
 
 
 class TestDataset:
@@ -108,4 +107,4 @@ class TestPlantedTruth:
     def test_mask_ignores_exactly_zero_effects(self):
         Z = np.array([[1]])
         A = np.array([[0.0, 1.0]])
-        assert (derive_mask(Z, A) == np.array([[False, True]])).all()
+        assert (PlantedTruth(Z, A).mask == np.array([[False, True]])).all()
