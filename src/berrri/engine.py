@@ -127,16 +127,19 @@ def _factor_residual(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: int):
     return np.subtract(ws.Y, R, out=R)
 
 
-def _eta_factor_inputs(batch: VariationalState, ws: BatchData, k: int):
-    """Per-member quantities that stay fixed across one factor's inclusion
-    sweep: the residual projected onto the effect means (B x N), the prior
-    logit and the summed effect second moment (length B)."""
+def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int):
+    """Parts of factor k's inclusion logits that stay fixed across its sweep,
+    for every member: the logit offsets (Q x B) and the coefficient of the
+    load term (length B)."""
     R = _factor_residual(ws, ws.X @ batch.eta, batch.phi, k)
-    # matmul forms, so a batch of one computes `R @ phi[k]` bit for bit
+    # matmul forms, so a batch of one computes `R @ phi[k]` and `XT @ u` bit for bit
     U = np.matmul(R, batch.phi[:, k, :, None])[..., 0]
+    XU = np.matmul(ws.XT, U[..., None])[..., 0].T
     prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
-    sa2 = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1)
-    return U, prior_logit, sa2
+    inv_sigma2 = 1.0 / sigma2
+    coef = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1) * inv_sigma2
+    offset = np.multiply.outer(ws.x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * XU
+    return offset, coef
 
 
 def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
@@ -150,25 +153,21 @@ def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k:
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
-    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
+    offset, coef = _eta_factor_terms(batch, ws, sigma2, k)
     E = np.ascontiguousarray(batch.eta[:, :, k])
-    bad = kernels.eta_factor_sweep(ws.XT, ws.x2sum, E, U, prior_logit, sa2, 1.0 / sigma2)
+    bad = kernels.eta_factor_sweep(ws.XT, E, offset, coef)
     if bad is not None:
         raise _nonfinite_logit(k, bad[1], bad[0], len(E))
     batch.eta[:, :, k] = E
 
 
 def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: int, q: int):
-    """Exact mean-field update of one inclusion probability: the kernel's
-    per-SNP step, with only SNP q's logit offset computed.  A non-finite
-    logit raises before the SNP is written."""
+    """Exact mean-field update of one inclusion probability: the sweep's
+    SNP step.  A non-finite logit raises before the SNP is written."""
     batch, ws = batch_of(state, data)
-    U, prior_logit, sa2 = _eta_factor_inputs(batch, ws, k)
-    offset, coef = kernels.eta_factor_terms(
-        ws.XT[q:q + 1], ws.x2sum[q:q + 1], U[0], prior_logit[0], sa2[0], 1.0 / hp.sigma2
-    )
+    offset, coef = _eta_factor_terms(batch, ws, hp.sigma2, k)
     E = state.eta[:, k].copy()
-    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[0], coef)):
+    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[q, 0], coef[0])):
         raise _nonfinite_logit(k, q, 0, 1)
     state.eta[q, k] = E[q]
     return state.eta[q, k]

@@ -19,7 +19,7 @@ import scipy
 from . import __version__
 from .associate import vmap_signed
 from .errors import ValidationError
-from .types import Dataset, GENOTYPE_VALUES
+from .types import Dataset, GENOTYPE_VALUES, reject_repeats
 
 __all__ = [
     "FORMAT_VERSION",
@@ -70,7 +70,7 @@ def load_matrix(path, kind: str) -> MatrixFile:
         col_ids = tuple(header[1:])
         if not col_ids:
             raise ValidationError(f"{path}: header row has no column IDs")
-        _reject_repeats(path, col_ids, "column ID", "in columns", start=2)
+        reject_repeats(col_ids, f"{path}: column ID", "in columns", start=2)
         row_ids = []
         rows = []
         for i, rec in enumerate(reader, start=2):
@@ -91,7 +91,7 @@ def load_matrix(path, kind: str) -> MatrixFile:
             rows.append(parsed)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    _reject_repeats(path, row_ids, "row ID", "on lines", start=2)
+    reject_repeats(row_ids, f"{path}: row ID", "on lines", start=2)
     values = np.vstack(rows)
 
     if kind == "genotype":
@@ -136,15 +136,6 @@ def require_same_ids(path_a, a: MatrixFile, path_b, b: MatrixFile):
             )
 
 
-def _reject_repeats(path, ids, kind: str, where: str, start: int):
-    """Raise on the first ID that occurs twice, naming both of its positions."""
-    seen = {}
-    for n, item in enumerate(ids, start=start):
-        if item in seen:
-            raise ValidationError(f"{path}: {kind} {item!r} appears twice, {where} {seen[item]} and {n}")
-        seen[item] = n
-
-
 def write_table(path, header, rows):
     """Write a TSV table: the header cells, then one line per row of text cells."""
     with open(path, "w", newline="") as fh:
@@ -181,7 +172,7 @@ def load_positions(path) -> dict:
             if not np.isfinite(positions[-1]):
                 raise ValidationError(f"{path}: non-finite position at line {i}: {rec[1]!r}")
             ids.append(rec[0])
-    _reject_repeats(path, ids, "ID", "on lines", start=1)
+    reject_repeats(ids, f"{path}: ID", "on lines", start=1)
     return dict(zip(ids, positions))
 
 

@@ -29,6 +29,15 @@ __all__ = [
 GENOTYPE_VALUES = (0.0, 1.0, 2.0)
 
 
+def reject_repeats(ids, kind: str, where: str, start: int = 0):
+    """Raise on the first ID that occurs twice, naming both of its positions."""
+    seen = {}
+    for n, item in enumerate(ids, start=start):
+        if item in seen:
+            raise ValidationError(f"{kind} {item!r} appears twice, {where} {seen[item]} and {n}")
+        seen[item] = n
+
+
 def _as_float_matrix(arr, name: str) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim != 2:
@@ -41,9 +50,11 @@ class Dataset:
     """Paired genotype and trait matrices with column labels.
 
     X holds minor-allele dosages in {0, 1, 2} for N individuals x Q SNPs; Y
-    holds real-valued traits for the same N individuals x P traits.  Optional
-    base-pair positions enable SNP-trait distance reporting.  Instances are
-    immutable after construction and safe to share across threads.
+    holds real-valued traits for the same N individuals x P traits; no axis
+    may be empty and no ID may repeat.  Optional base-pair positions enable
+    SNP-trait distance reporting.  Instances are immutable after
+    construction and safe to share across threads; X's column sums of
+    squares and ||Y||^2 are computed once, on first use.
     """
 
     X: np.ndarray
@@ -61,6 +72,11 @@ class Dataset:
                 f"X has {X.shape[0]} rows but Y has {Y.shape[0]} rows; "
                 "genotype and trait matrices must cover the same individuals"
             )
+        for name, arr, axis, what in (
+            ("X", X, 0, "individuals"), ("X", X, 1, "SNPs"), ("Y", Y, 1, "traits")
+        ):
+            if arr.shape[axis] == 0:
+                raise ValidationError(f"{name} has shape {arr.shape}: no {what}")
         bad = ~np.isin(X, GENOTYPE_VALUES)
         if bad.any():
             n, q = np.argwhere(bad)[0]
@@ -78,20 +94,37 @@ class Dataset:
             raise ValidationError(f"{len(snp_ids)} SNP labels for {X.shape[1]} genotype columns")
         if len(trait_ids) != Y.shape[1]:
             raise ValidationError(f"{len(trait_ids)} trait labels for {Y.shape[1]} trait columns")
+        reject_repeats(snp_ids, "SNP ID", "at indices")
+        reject_repeats(trait_ids, "trait ID", "at indices")
 
-        snp_pos = None if self.snp_positions is None else np.asarray(self.snp_positions, dtype=np.float64)
-        trait_pos = None if self.trait_positions is None else np.asarray(self.trait_positions, dtype=np.float64)
-        if snp_pos is not None and snp_pos.shape != (X.shape[1],):
-            raise ValidationError(f"snp_positions has shape {snp_pos.shape}, expected ({X.shape[1]},)")
-        if trait_pos is not None and trait_pos.shape != (Y.shape[1],):
-            raise ValidationError(f"trait_positions has shape {trait_pos.shape}, expected ({Y.shape[1]},)")
+        positions = {}
+        for name, n in (("snp_positions", X.shape[1]), ("trait_positions", Y.shape[1])):
+            pos = getattr(self, name)
+            if pos is not None:
+                pos = np.asarray(pos, dtype=np.float64)
+                if pos.shape != (n,):
+                    raise ValidationError(f"{name} has shape {pos.shape}, expected ({n},)")
+                if not np.isfinite(pos).all():
+                    i = np.flatnonzero(~np.isfinite(pos))[0]
+                    raise ValidationError(f"{name} holds a non-finite value at index {i}")
+            positions[name] = pos
 
-        for name, arr in (("X", X), ("Y", Y), ("snp_positions", snp_pos), ("trait_positions", trait_pos)):
+        for name, arr in (("X", X), ("Y", Y), *positions.items()):
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "snp_ids", snp_ids)
         object.__setattr__(self, "trait_ids", trait_ids)
+
+    @cached_property
+    def x2sum(self) -> np.ndarray:
+        out = np.einsum("nq,nq->q", self.X, self.X)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def yy(self) -> float:
+        return np.einsum("np,np->", self.Y, self.Y)
 
     @property
     def n_individuals(self) -> int:
@@ -244,7 +277,8 @@ class VariationalState:
 class BatchData:
     """The data of a batch of fits: the genotype matrix X its members share,
     X's column sums of squares, their traits stacked B x N x P and each
-    member's ||Y_b||^2.  X's transpose and the residual scratch are built on
+    member's ||Y_b||^2; the column sums and the norms are read from the
+    members' Datasets.  X's transpose and the residual scratch are built on
     first use, so scoring one fit forms neither."""
 
     def __init__(self, datasets):
@@ -258,11 +292,10 @@ class BatchData:
                     f"batch member {b} has traits of shape {data.Y.shape}, member 0 has {shape}"
                 )
         self.X = X
-        self.x2sum = np.einsum("nq,nq->q", X, X)
+        self.x2sum = datasets[0].x2sum
         # a fit on its own holds a view of its traits, not a stacked copy
         self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
-        # one reduction per member, so a member's value does not depend on its batch
-        self.yy = np.array([np.einsum("np,np->", Y, Y) for Y in self.Y])
+        self.yy = np.array([d.yy for d in datasets])
 
     def __len__(self) -> int:
         return len(self.Y)

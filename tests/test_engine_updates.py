@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import digamma, expit
 
-from berrri import Dataset, EngineError, Hyperparameters, elbo
-from berrri.engine import update_A, update_eta, update_kappa, update_lambda
+from berrri import Dataset, EngineError, Hyperparameters, SimConfig, elbo, initial_state, simulate
+from berrri.engine import _eta_factor_update, update_A, update_eta, update_kappa, update_lambda
+from berrri.types import BatchData
 
 from conftest import micro_instance
 from oracles import effect_row_oracle, kappa_conjugate_oracle, lambda_conjugate_oracle
@@ -68,6 +69,18 @@ class TestEtaUpdate:
             best = grid[int(np.argmax(values))]
             got = update_eta(state.copy(), data, hp, k, q)
             assert abs(got - best) < 1e-4
+
+    def test_equals_first_step_of_factor_sweep(self):
+        # update_eta and the sweep take their logit terms from one helper,
+        # so SNP 0 of a factor's kernel sweep is the single update bit for bit
+        for seed, sigma2 in ((1, 1.0), (5, 0.7)):
+            data, _ = simulate(SimConfig(n_individuals=60, n_snps=12, n_traits=6, k_true=2, seed=seed))
+            hp = Hyperparameters(k_max=4, sigma2=sigma2)
+            state = initial_state(data, hp)
+            for k in range(state.k_max):
+                swept = state.as_batch().copy()
+                _eta_factor_update(swept, BatchData([data]), hp.sigma2, k)
+                assert update_eta(state.copy(), data, hp, k, 0) == swept.eta[0, 0, k]
 
     def test_nonfinite_logit_aborts(self):
         data, hp, state = micro_instance(seed=1)

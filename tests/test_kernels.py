@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from berrri.kernels import eta_factor_sweep, eta_factor_terms, eta_snp_update
+from berrri.kernels import eta_factor_sweep, eta_snp_update
 
 
 def kernel_inputs(n=12, q=8, b=1, seed=0):
@@ -15,6 +15,19 @@ def kernel_inputs(n=12, q=8, b=1, seed=0):
     sa2 = rng.uniform(0.01, 0.1, size=b)
     inv_sigma2 = rng.uniform(0.5, 2.0)
     return XT, x2sum, E, U, prior_logit, sa2, inv_sigma2
+
+
+def sweep(XT, x2sum, E, U, prior_logit, sa2, inv_sigma2):
+    """`eta_factor_sweep` on the logit terms of the given inputs."""
+    return eta_factor_sweep(XT, E, *factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2))
+
+
+def factor_terms(XT, x2sum, U, prior_logit, sa2, inv_sigma2):
+    """The Q x B logit offsets and length-B load coefficients, formed per
+    member as the engine forms them."""
+    coef = sa2 * inv_sigma2
+    XU = np.matmul(XT, U[..., None])[..., 0].T
+    return np.multiply.outer(x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * XU, coef
 
 
 def sequential_reference(XT, x2sum, eta_k, u, prior_logit, sa2, inv_sigma2):
@@ -43,7 +56,7 @@ class TestEtaKernel:
                 sequential_reference(XT, x2sum, E[i], U[i], prior[i], sa2[i], inv_s2)
                 for i in range(b)
             ]
-            assert eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2) is None
+            assert sweep(XT, x2sum, E, U, prior, sa2, inv_s2) is None
             assert np.allclose(E, expected, rtol=1e-12, atol=1e-14)
             unsaturated.append(((E > 0.01) & (E < 0.99)).mean())
         assert np.mean(unsaturated) > 0.5  # the comparison is not between saturated values
@@ -54,24 +67,24 @@ class TestEtaKernel:
         for n, q in ((30, 20), (25, 25), (300, 50)):
             XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(n=n, q=q, b=6, seed=7)
             batch = E.copy()
-            eta_factor_sweep(XT, x2sum, batch, U, prior, sa2, inv_s2)
+            sweep(XT, x2sum, batch, U, prior, sa2, inv_s2)
             for i in range(len(E)):
                 single = E[i:i + 1].copy()
                 one = slice(i, i + 1)
-                eta_factor_sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2)
+                sweep(XT, x2sum, single, U[one], prior[one], sa2[one], inv_s2)
                 assert np.array_equal(batch[i], single[0]), (n, q, i)
             # a sub-batch of other members, in another order
             sub = [4, 1, 3]
             part = E[sub].copy()
-            eta_factor_sweep(XT, x2sum, part, U[sub], prior[sub], sa2[sub], inv_s2)
+            sweep(XT, x2sum, part, U[sub], prior[sub], sa2[sub], inv_s2)
             assert np.array_equal(part, batch[sub]), (n, q)
 
     def test_snp_steps_compose_to_factor_sweep(self):
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=4)
         swept = E.copy()
-        eta_factor_sweep(XT, x2sum, swept, U, prior, sa2, inv_s2)
+        sweep(XT, x2sum, swept, U, prior, sa2, inv_s2)
         stepped = E.copy()
-        offset, coef = eta_factor_terms(XT, x2sum, U, prior, sa2, inv_s2)
+        offset, coef = factor_terms(XT, x2sum, U, prior, sa2, inv_s2)
         for q in range(len(XT)):
             eta_snp_update(stepped, XT, q, offset[q], coef)
         assert (stepped == swept).all()
@@ -80,7 +93,7 @@ class TestEtaKernel:
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs()
         U[:] = np.inf
         with np.errstate(invalid="ignore"):
-            assert eta_factor_sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2) == (0, 0)
+            assert sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2) == (0, 0)
         # in a batch, member 2 overflows first at the first SNP that carries
         # individual n, while SNP 0 (which does not) and member 1 stay finite
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(b=3, seed=2)
@@ -88,7 +101,7 @@ class TestEtaKernel:
         U[2, n] = 1e308
         inv_s2 = 4.0  # member 2's offset of every SNP that carries n overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            b, q = eta_factor_sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2)
+            b, q = sweep(XT, x2sum, E.copy(), U, prior, sa2, inv_s2)
         assert (b, q) == (2, int(np.flatnonzero(XT[:, n])[0]))
         assert q > 0
 
@@ -97,7 +110,7 @@ class TestEtaKernel:
         # before it: freezing them (Jacobi style) changes the result
         XT, x2sum, E, U, prior, sa2, inv_s2 = kernel_inputs(seed=3)
         frozen = E[0].copy()
-        eta_factor_sweep(XT, x2sum, E, U, prior, sa2, inv_s2)
+        sweep(XT, x2sum, E, U, prior, sa2, inv_s2)
         jacobi = _jacobi(XT, x2sum, frozen, U[0], prior[0], sa2[0], inv_s2)
         assert not np.allclose(E[0, 1:], jacobi[1:], atol=1e-12)
         assert E[0, 0] == pytest.approx(jacobi[0], abs=1e-15)

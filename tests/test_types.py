@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError
+from berrri.types import BatchData
 
 
 class TestDataset:
@@ -38,6 +39,34 @@ class TestDataset:
     def test_position_shape_checked(self):
         with pytest.raises(ValidationError, match="snp_positions"):
             Dataset(X=[[1, 0]], Y=[[1.0]], snp_positions=[1.0])
+
+    @pytest.mark.parametrize("x_shape, y_shape, message", [
+        ((0, 2), (0, 1), r"X has shape \(0, 2\): no individuals"),
+        ((2, 0), (2, 1), r"X has shape \(2, 0\): no SNPs"),
+        ((2, 2), (2, 0), r"Y has shape \(2, 0\): no traits"),
+    ])
+    def test_rejects_empty_axis(self, x_shape, y_shape, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(X=np.zeros(x_shape), Y=np.zeros(y_shape))
+
+    def test_rejects_repeated_ids(self):
+        with pytest.raises(ValidationError, match="SNP ID 'a' appears twice, at indices 0 and 2"):
+            Dataset(X=[[1, 0, 2]], Y=[[1.0]], snp_ids=("a", "b", "a"))
+        with pytest.raises(ValidationError, match="trait ID 't' appears twice, at indices 0 and 1"):
+            Dataset(X=[[1]], Y=[[1.0, 2.0]], trait_ids=("t", "t"))
+
+    def test_rejects_non_finite_positions(self):
+        with pytest.raises(ValidationError, match="snp_positions holds a non-finite value at index 0"):
+            Dataset(X=[[1, 0]], Y=[[1.0]], snp_positions=[np.nan, 1.0])
+        with pytest.raises(ValidationError, match="trait_positions holds a non-finite value at index 1"):
+            Dataset(X=[[1]], Y=[[1.0, 2.0]], trait_positions=[5.0, np.inf])
+
+    def test_norms_computed_once_and_shared_with_batches(self):
+        d = Dataset(X=[[1, 0], [2, 1]], Y=[[0.5, -1.0], [2.0, 3.0]])
+        assert d.x2sum.tolist() == [5.0, 1.0] and d.yy == 14.25
+        assert d.x2sum is d.x2sum and not d.x2sum.flags.writeable
+        batch = BatchData([d, d])
+        assert batch.x2sum is d.x2sum and batch.yy.tolist() == [14.25, 14.25]
 
 
 class TestHyperparameters:
