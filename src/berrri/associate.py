@@ -6,7 +6,6 @@ effect-direction reporting.  Significance is calibrated by refitting on
 row-shuffled trait matrices and pooling the resulting scores as a global null.
 """
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,8 +25,6 @@ __all__ = [
     "fdr_threshold",
     "run_permutation_fdr",
 ]
-
-logger = logging.getLogger("berrri")
 
 
 def _check_fdr_target(fdr_target: float):
@@ -86,14 +83,7 @@ def permute_labels(data: Dataset, seed) -> Dataset:
         raise ValidationError("need at least 2 individuals to permute")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     perm = rng.permutation(data.n_individuals)
-    return Dataset(
-        X=data.X,
-        Y=data.Y[perm],
-        snp_ids=data.snp_ids,
-        trait_ids=data.trait_ids,
-        snp_positions=data.snp_positions,
-        trait_positions=data.trait_positions,
-    )
+    return replace(data, Y=data.Y[perm])
 
 
 def fdr_threshold(real_scores, null_scores, fdr_target: float) -> Optional[float]:
@@ -144,8 +134,8 @@ def run_permutation_fdr(
     state; permutation j starts from `initial_state` under its own derived
     seed.  Every member's result is bit for bit that of its fit on its own,
     so the real fit and its report equal `fit(data, hp)` exactly.  A
-    non-converged permutation fit is kept (with a warning) since its scores
-    are still valid null draws.
+    permutation fit that stops unconverged (`fit` logs a warning naming its
+    batch member) is kept, since its scores are still valid null draws.
     """
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -158,23 +148,6 @@ def run_permutation_fdr(
         seed = int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0])
         starts.append(engine.initial_state(d, replace(hp, seed=seed)))
     (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], hp, starts)
-    for j, perm_report in enumerate(perm_reports):
-        logger.info(
-            "permutation %d (batch member %d): %s after %d iterations, final elbo %.6f",
-            j,
-            j + 1,
-            "converged" if perm_report.converged else "stopped",
-            perm_report.iterations,
-            perm_report.final_elbo,
-        )
-        if not perm_report.converged:
-            logger.warning(
-                "permutation %d (batch member %d) did not converge in %d iterations; "
-                "its scores are kept as null draws",
-                j,
-                j + 1,
-                perm_report.iterations,
-            )
     null = np.concatenate([vmap(s).ravel() for s in perm_states])
 
     threshold = fdr_threshold(vmap(state).ravel(), null, fdr_target)

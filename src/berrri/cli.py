@@ -179,10 +179,9 @@ def _cmd_fit(args) -> int:
     state, report = fit(data, hp)
     paths = io.save_results(out_dir, data, state, report, config=_run_config(args))
     logger.info(
-        "fit %s in %d iterations (converged=%s, k_effective=%d) -> %s",
+        "fit %s in %d iterations (k_effective=%d) -> %s",
         "converged" if report.converged else "stopped",
         report.iterations,
-        report.converged,
         state.effective_k(),
         paths["manifest"],
     )

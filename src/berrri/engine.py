@@ -28,7 +28,7 @@ bit for bit that of the same fit run on its own.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import digamma, erfc
@@ -37,7 +37,7 @@ from . import kernels
 from .errors import EngineError, ValidationError
 from .model import elbo
 from .streams import child_rng
-from .types import BatchData, Dataset, Hyperparameters, VariationalState, batch_of
+from .types import STATE_ARRAYS, BatchData, Dataset, Hyperparameters, VariationalState, batch_of
 
 __all__ = [
     "TRACE_BLOCKS",
@@ -252,10 +252,7 @@ def _block_means(batch: VariationalState) -> np.ndarray:
     """The mean of each parameter block (in TRACE_BLOCKS order) for every
     member of a batch, one reduction per block: row b holds member b's."""
     B = len(batch.eta)
-    return np.column_stack([
-        getattr(batch, name).reshape(B, -1).mean(axis=1)
-        for name in ("lam", "eta", "phi", "varphi", "kappa")
-    ])
+    return np.column_stack([getattr(batch, name).reshape(B, -1).mean(axis=1) for name in STATE_ARRAYS])
 
 
 @dataclass
@@ -268,8 +265,8 @@ class FitReport:
     The sweep count, final ELBO and convergence follow from these.  It
     holds no timing, so identical fits give equal reports."""
 
-    burn_in: int = 100
-    check_interval: int = 100
+    burn_in: int
+    check_interval: int
     traces: dict = field(default_factory=lambda: {b: [] for b in TRACE_BLOCKS})
     elbo_trace: list = field(default_factory=list, init=False)
     checks: list = field(default_factory=list, init=False)
@@ -300,6 +297,18 @@ class FitReport:
     def converged(self) -> bool:
         """Whether the last convergence check passed; False if none ran."""
         return bool(self.checks) and self.checks[-1].converged
+
+    def summary(self) -> dict:
+        """The fit's record in plain values, as the manifest holds it: sweep
+        count, convergence, final ELBO, decrease count, ELBO trace, checks."""
+        return {
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "final_elbo": self.final_elbo,
+            "elbo_decreases": self.elbo_decreases,
+            "elbo_trace": list(self.elbo_trace),
+            "checks": [asdict(check) for check in self.checks],
+        }
 
     def post_burn(self, block: str) -> np.ndarray:
         return np.asarray(self.traces[block][self.burn_in:], dtype=np.float64)
@@ -388,10 +397,10 @@ def fit(data, hp: Hyperparameters, init_state=None):
     and is returned as it stands when the member stops; its sweep count
     covers this fit's sweeps only.  Deterministic for a given (data, hp,
     seed): identical runs produce identical parameter traces and reports.
-    Non-convergence at max_iter is reported, not raised.  Every update
-    should raise the ELBO, so each sweep that lowers it by more than
-    ELBO_DECREASE_RTOL of its previous value is logged as a warning and
-    counted in the report's elbo_decreases.
+    Non-convergence at max_iter is logged as one warning, not raised.
+    Every update should raise the ELBO, so each sweep that lowers it by more
+    than ELBO_DECREASE_RTOL of its previous value is logged as a warning and
+    counted in the report's elbo_decreases.  Log lines name batch members.
     """
     batched = not isinstance(data, Dataset)
     datasets = list(data) if batched else [data]
@@ -405,6 +414,10 @@ def fit(data, hp: Hyperparameters, init_state=None):
     states = []
     for d, init in zip(datasets, inits):
         state = init if init is not None else initial_state(d, hp)
+        if not isinstance(state, VariationalState):
+            raise ValidationError(
+                f"an initial state must be a VariationalState, got {type(state).__name__}"
+            )
         state.validate()
         if state.n_snps != d.n_snps or state.n_traits != d.n_traits:
             raise ValidationError(
@@ -425,10 +438,11 @@ def fit(data, hp: Hyperparameters, init_state=None):
         staying = []
         for i, b in enumerate(active):
             report = reports[b]
+            member = f"batch member {b}: " if batched else ""
             if report.record(means[i], values[i]):
                 logger.warning(
                     "%siteration %d: elbo fell from %.6f to %.6f",
-                    f"batch member {b}: " if batched else "",
+                    member,
                     n_sweeps,
                     *report.elbo_trace[-2:],
                 )
@@ -437,16 +451,18 @@ def fit(data, hp: Hyperparameters, init_state=None):
                 report.checks.append(check)
                 logger.info(
                     "%siteration %d: elbo=%.6f p-values=%s",
-                    f"batch member {b}: " if batched else "",
+                    member,
                     n_sweeps,
                     report.final_elbo,
                     {blk: round(p, 4) for blk, p in check.p_values.items()},
                 )
             # without a check this sweep the last one failed, or the member
             # would have stopped at it
-            if not (report.converged or n_sweeps == hp.max_iter):
-                staying.append(i)
-                continue
+            if not report.converged:
+                if n_sweeps < hp.max_iter:
+                    staying.append(i)
+                    continue
+                logger.warning("%sstopped at max_iter %d without converging", member, n_sweeps)
             results[b] = stack.member(i).copy()
         if not staying:
             break

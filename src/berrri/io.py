@@ -36,7 +36,7 @@ __all__ = [
     "load_manifest",
 ]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def fmt(x) -> str:
@@ -255,7 +255,9 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     and SNP-trait distance when both position tracks are present),
     factors.tsv (snp, factor, inclusion probability), loadings.tsv (factor,
     trait, effect mean), null_scores.tsv when a permutation null is attached,
-    and manifest.json.  Returns {name: path}.
+    and manifest.json, which holds the real fit's `FitReport.summary()` at
+    its top level and each permutation fit's under `permutation_fits`.
+    Returns {name: path}.
     """
     out = _prepare_out_dir(out_dir)
     signed = scores.signed if scores is not None else vmap_signed(state)
@@ -302,29 +304,14 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         paths["null_scores"] = out / "null_scores.tsv"
         write_table(paths["null_scores"], ["null_score"], ([fmt(v)] for v in scores.null_scores))
 
-    last_check = report.checks[-1] if report.checks else None
     manifest = {
         "config": config or {},
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "final_elbo": report.final_elbo,
-        "elbo_decreases": report.elbo_decreases,
+        **report.summary(),
         "k_effective": state.effective_k(),
-        "elbo_trace": list(report.elbo_trace),
-        "convergence_p_values": last_check.p_values if last_check is not None else {},
-        "convergence_t_stats": last_check.t_stats if last_check is not None else {},
         "threshold": scores.threshold if scores is not None else None,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
-        "permutation_fits": [
-            {
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "final_elbo": r.final_elbo,
-                "elbo_decreases": r.elbo_decreases,
-            }
-            for r in scores.permutation_reports
-        ] if scores is not None else None,
+        "permutation_fits": [r.summary() for r in scores.permutation_reports] if scores is not None else None,
         "n_discoveries": int(significant.sum()),
         "n_snps": dataset.n_snps,
         "n_traits": dataset.n_traits,

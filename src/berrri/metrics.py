@@ -14,7 +14,7 @@ import numpy as np
 
 from . import engine
 from .errors import ValidationError
-from .types import BatchData, Dataset, Hyperparameters
+from .types import BatchData, Dataset, Hyperparameters, owned_array
 
 __all__ = [
     "PRCurve",
@@ -45,7 +45,7 @@ class PRCurve:
     recall: np.ndarray
 
     def __post_init__(self):
-        t, pr, rc = (np.asarray(a, dtype=np.float64) for a in (self.thresholds, self.precision, self.recall))
+        t, pr, rc = (owned_array(a, np.float64) for a in (self.thresholds, self.precision, self.recall))
         if not (t.shape == pr.shape == rc.shape) or t.ndim != 1 or t.size == 0:
             raise ValidationError("curve arrays must be equal-length non-empty vectors")
         if t.size > 1 and not (np.diff(t) < 0).all():
@@ -55,7 +55,6 @@ class PRCurve:
         if t.size > 1 and (np.diff(rc) < 0).any():
             raise ValidationError("recall must be non-increasing in the threshold")
         for name, arr in (("thresholds", t), ("precision", pr), ("recall", rc)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

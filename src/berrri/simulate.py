@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .streams import child_rng
-from .types import Dataset, PlantedTruth
+from .types import GENOTYPE_VALUES, Dataset, PlantedTruth
 
 __all__ = ["SimConfig", "synthetic_genotypes", "simulate"]
 
@@ -92,7 +92,7 @@ def simulate(cfg: SimConfig):
         rows = np.sort(sub.choice(pool.shape[0], size=N, replace=False))
         cols = np.sort(sub.choice(pool.shape[1], size=Q, replace=False))
         X = pool[np.ix_(rows, cols)]
-        bad = ~np.isin(X, (0.0, 1.0, 2.0))
+        bad = ~np.isin(X, GENOTYPE_VALUES)
         if bad.any():
             n, q = np.argwhere(bad)[0]
             raise ValidationError(

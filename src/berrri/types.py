@@ -10,6 +10,7 @@ a per-entry ARD (inverse-gamma variance) prior.
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -38,8 +39,21 @@ def reject_repeats(ids, kind: str, where: str, start: int = 0):
         seen[item] = n
 
 
+def owned_array(value, dtype) -> np.ndarray:
+    """A read-only array of `value` for a record to hold.  An input that is
+    already read-only and owns its memory (another record's field) is
+    shared, an array that the conversion to `dtype` created is kept, and
+    anything else (a caller's writable array, a view) is copied, so no one
+    outside the record can write to what it holds."""
+    out = np.asarray(value, dtype=dtype)
+    if not out.flags.owndata or (out is value and out.flags.writeable):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
+
+
 def _as_float_matrix(arr, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
+    out = owned_array(arr, np.float64)
     if out.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {out.shape}")
     return out
@@ -53,8 +67,10 @@ class Dataset:
     holds real-valued traits for the same N individuals x P traits; no axis
     may be empty and no ID may repeat.  Optional base-pair positions enable
     SNP-trait distance reporting.  Instances are immutable after
-    construction and safe to share across threads; X's column sums of
-    squares and ||Y||^2 are computed once, on first use.
+    construction and safe to share across threads: their arrays are
+    read-only and no caller can write to them (see `owned_array`), and
+    Datasets built from one another share them.  X's column sums of squares
+    and ||Y||^2 are computed once, on first use.
     """
 
     X: np.ndarray
@@ -101,7 +117,7 @@ class Dataset:
         for name, n in (("snp_positions", X.shape[1]), ("trait_positions", Y.shape[1])):
             pos = getattr(self, name)
             if pos is not None:
-                pos = np.asarray(pos, dtype=np.float64)
+                pos = owned_array(pos, np.float64)
                 if pos.shape != (n,):
                     raise ValidationError(f"{name} has shape {pos.shape}, expected ({n},)")
                 if not np.isfinite(pos).all():
@@ -110,8 +126,6 @@ class Dataset:
             positions[name] = pos
 
         for name, arr in (("X", X), ("Y", Y), *positions.items()):
-            if arr is not None:
-                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "snp_ids", snp_ids)
         object.__setattr__(self, "trait_ids", trait_ids)
@@ -169,6 +183,10 @@ class Hyperparameters:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite number, got {v}")
+        for name in ("k_max", "burn_in", "check_interval", "max_iter", "seed"):
+            v = getattr(self, name)
+            if not (isinstance(v, Integral) or (name == "k_max" and v is None)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         if not 0 < self.p_thresh < 1:
@@ -186,7 +204,7 @@ class Hyperparameters:
         return min(n_snps, 50) if self.k_max is None else self.k_max
 
 
-_STATE_ARRAYS = ("lam", "eta", "phi", "varphi", "kappa")
+STATE_ARRAYS = ("lam", "eta", "phi", "varphi", "kappa")
 # a factor is in use when some SNP's inclusion mean exceeds this
 INCLUSION_THRESHOLD = 0.5
 
@@ -230,17 +248,17 @@ class VariationalState:
     def stack(cls, states) -> "VariationalState":
         """Copy plain states of one shape into one batch."""
         states = list(states)
-        if len({tuple(getattr(s, name).shape for name in _STATE_ARRAYS) for s in states}) != 1:
+        if len({tuple(getattr(s, name).shape for name in STATE_ARRAYS) for s in states}) != 1:
             raise ValidationError("states in one batch must have the same shapes")
-        return cls(*(np.stack([getattr(s, name) for s in states]) for name in _STATE_ARRAYS))
+        return cls(*(np.stack([getattr(s, name) for s in states]) for name in STATE_ARRAYS))
 
     def member(self, b: int) -> "VariationalState":
         """Member b of a batch, as a plain state whose arrays are views."""
-        return VariationalState(*(getattr(self, name)[b] for name in _STATE_ARRAYS))
+        return VariationalState(*(getattr(self, name)[b] for name in STATE_ARRAYS))
 
     def as_batch(self) -> "VariationalState":
         """A plain state as a batch of one whose arrays are views of its own."""
-        return VariationalState(*(getattr(self, name)[None] for name in _STATE_ARRAYS))
+        return VariationalState(*(getattr(self, name)[None] for name in STATE_ARRAYS))
 
     def effective_k(self) -> int:
         """Number of factors with at least one SNP inclusion above
@@ -248,6 +266,10 @@ class VariationalState:
         return int((self.eta.max(axis=0) > INCLUSION_THRESHOLD).sum())
 
     def validate(self):
+        if self.eta.ndim != 2:
+            raise ValidationError(
+                f"eta has shape {self.eta.shape}: expected one fit's state, not a stacked batch"
+            )
         Q, K = self.eta.shape
         P = self.phi.shape[1]
         if self.lam.shape != (K, 2):
@@ -266,12 +288,12 @@ class VariationalState:
             raise ValidationError("kappa entries must be strictly positive")
         if not (self.varphi > 0).all():
             raise ValidationError("varphi entries must be strictly positive")
-        for name in _STATE_ARRAYS:
+        for name in STATE_ARRAYS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"non-finite entries in {name}")
 
     def copy(self) -> "VariationalState":
-        return VariationalState(*(getattr(self, name).copy() for name in _STATE_ARRAYS))
+        return VariationalState(*(getattr(self, name).copy() for name in STATE_ARRAYS))
 
 
 class BatchData:
@@ -340,8 +362,8 @@ class PlantedTruth:
     A_true: np.ndarray
 
     def __post_init__(self):
-        Z = np.asarray(self.Z_true, dtype=np.int8)
-        A = np.asarray(self.A_true, dtype=np.float64)
+        Z = owned_array(self.Z_true, np.int8)
+        A = owned_array(self.A_true, np.float64)
         if Z.ndim != 2 or A.ndim != 2 or Z.shape[1] != A.shape[0]:
             raise ValidationError(
                 f"inconsistent truth shapes: Z_true {Z.shape}, A_true {A.shape}"
@@ -350,9 +372,8 @@ class PlantedTruth:
             raise ValidationError("planted truth needs at least one factor")
         if not np.isin(Z, (0, 1)).all():
             raise ValidationError("Z_true must be binary")
-        for name, arr in (("Z_true", Z), ("A_true", A)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "Z_true", Z)
+        object.__setattr__(self, "A_true", A)
 
     @property
     def mask(self) -> np.ndarray:

@@ -206,6 +206,34 @@ class TestFit:
             assert not any(c.converged for c in rep.checks[:-1])
             assert rep.checks[-1].converged == rep.converged
 
+    def test_unconverged_member_warns_once(self, caplog):
+        # each member that reaches max_iter unconverged logs one warning,
+        # naming it; a converged member logs none
+        datasets, hp, starts = six_member_batch()
+        with caplog.at_level(logging.WARNING, logger="berrri"):
+            _, reports = fit(datasets, hp, starts)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        stopped = [b for b, rep in enumerate(reports) if not rep.converged]
+        assert stopped and len(stopped) < len(reports)
+        for b in range(len(reports)):
+            named = [m for m in warnings if m.startswith(f"batch member {b}: ")]
+            expected = [f"batch member {b}: stopped at max_iter 65 without converging"]
+            assert named == (expected if b in stopped else [])
+        assert len(warnings) == len(stopped)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="berrri"):
+            fit(datasets[stopped[0]], hp, starts[stopped[0]])
+        assert [r.getMessage() for r in caplog.records] == ["stopped at max_iter 65 without converging"]
+
+    def test_rejects_a_malformed_start(self):
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
+        hp = Hyperparameters(k_max=2, burn_in=2, check_interval=5, max_iter=10)
+        start = initial_state(data, hp)
+        with pytest.raises(ValidationError, match="one fit's state, not a stacked batch"):
+            fit(data, hp, init_state=VariationalState.stack([start, start]))
+        with pytest.raises(ValidationError, match="must be a VariationalState, got list"):
+            fit(data, hp, init_state=[start])
+
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
         other, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=3))

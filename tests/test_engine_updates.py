@@ -41,7 +41,6 @@ class TestEtaUpdate:
     def test_null_predictor_reduces_to_prior(self):
         data, hp, state = micro_instance(n=4, q=3, seed=3)
         X = data.X.copy()
-        X.setflags(write=True)
         X[:, 1] = 0.0
         data = Dataset(X=X, Y=data.Y)
         new = update_eta(state, data, hp, k=0, q=1)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import inspect
+import json
 import os
 import platform
 
@@ -10,7 +11,7 @@ import scipy
 
 import berrri
 
-from berrri import Hyperparameters, SimConfig, fit, simulate
+from berrri import Hyperparameters, SimConfig, fit, run_permutation_fdr, simulate
 from berrri import io
 from berrri.cli import run
 from berrri.errors import ValidationError
@@ -156,8 +157,8 @@ class TestSaveResults:
         assert manifest["format_version"] == io.FORMAT_VERSION
         assert manifest["iterations"] == report.iterations
         assert manifest["elbo_decreases"] == report.elbo_decreases == 0
-        assert manifest["convergence_p_values"] == report.checks[-1].p_values
-        assert manifest["convergence_t_stats"] == report.checks[-1].t_stats
+        assert manifest["checks"][-1]["p_values"] == report.checks[-1].p_values
+        assert manifest["checks"][-1]["t_stats"] == report.checks[-1].t_stats
         assert manifest["versions"] == {
             "berrri": berrri.__version__,
             "numpy": np.__version__,
@@ -342,9 +343,18 @@ class TestCli:
         perms = manifest["permutation_fits"]
         assert len(perms) == 2
         for entry in perms:
-            assert set(entry) == {"iterations", "converged", "final_elbo", "elbo_decreases"}
+            assert set(entry) == {
+                "iterations", "converged", "final_elbo", "elbo_decreases", "elbo_trace", "checks",
+            }
             assert 0 < entry["iterations"] <= 40 and isinstance(entry["converged"], bool)
             assert entry["elbo_decreases"] == 0
+        # every fit's record is its report's summary, the real fit's at the top level
+        data = io.load_dataset(sim / "genotypes.tsv", sim / "traits.tsv")
+        hp = Hyperparameters(k_max=2, burn_in=10, check_interval=10, max_iter=40)
+        scores, _, _ = run_permutation_fdr(data, hp, n_permutations=2)
+        assert perms == [json.loads(json.dumps(r.summary())) for r in scores.permutation_reports]
+        top = json.loads(json.dumps(fit(data, hp)[1].summary()))
+        assert {key: manifest[key] for key in top} == top
         # the real fit inside fdr is the fit `berrri fit` runs, byte for byte
         assert run(["fit", "--out-dir", str(tmp_path / "fit"), *flags]) == 0
         for name in ("vmap_matrix.tsv", "factors.tsv", "loadings.tsv"):

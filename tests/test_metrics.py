@@ -92,6 +92,13 @@ class TestPrecisionRecall:
         assert curve.precision_at_recall(0.75) == pytest.approx(3 / 5)
         assert curve.precision_at_recall(0.999) == pytest.approx(4 / 9)
 
+    def test_curve_leaves_given_thresholds_writable(self):
+        t = np.array([0.85, 0.45, 0.05])
+        curve = precision_recall(np.array([[0.9, 0.1]]), np.array([[True, False]]), thresholds=t)
+        assert t.flags.writeable and not curve.thresholds.flags.writeable
+        t[0] = 2.0
+        assert curve.thresholds[0] == 0.85
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             precision_recall(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError
+from berrri import Dataset, Hyperparameters, PlantedTruth, ValidationError, permute_labels
 from berrri.types import BatchData
 
 
@@ -61,6 +61,27 @@ class TestDataset:
         with pytest.raises(ValidationError, match="trait_positions holds a non-finite value at index 1"):
             Dataset(X=[[1]], Y=[[1.0, 2.0]], trait_positions=[5.0, np.inf])
 
+    def test_holds_its_own_arrays(self):
+        # a writable input and any view of it stay the caller's
+        X = np.ones((3, 2))
+        V = X[:]
+        d = Dataset(X, np.zeros((3, 1)))
+        assert d.x2sum.tolist() == [3.0, 3.0]
+        V[0, 0] = 7.0
+        assert d.X[0, 0] == 1.0 and d.x2sum.tolist() == (d.X**2).sum(axis=0).tolist()
+
+    def test_leaves_the_callers_arrays_writable(self):
+        X, Y = np.ones((3, 2)), np.zeros((3, 1))
+        d = Dataset(X, Y)
+        X[0, 1] = 2
+        Y[0, 0] = 5.0
+        assert d.X[0, 1] == 1.0 and d.Y[0, 0] == 0.0
+
+    def test_records_built_from_one_another_share_arrays(self):
+        d = Dataset(X=[[1, 0], [2, 1]], Y=[[0.5], [2.0]], snp_positions=[10.0, 20.0])
+        permuted = permute_labels(d, 0)
+        assert permuted.X is d.X and permuted.snp_positions is d.snp_positions
+
     def test_norms_computed_once_and_shared_with_batches(self):
         d = Dataset(X=[[1, 0], [2, 1]], Y=[[0.5, -1.0], [2.0, 3.0]])
         assert d.x2sum.tolist() == [5.0, 1.0] and d.yy == 14.25
@@ -87,11 +108,21 @@ class TestHyperparameters:
             {"p_thresh": 1.0},
             {"p_thresh": 0.0},
             {"burn_in": 500, "max_iter": 500},
+            {"k_max": 2.5},
+            {"max_iter": 101.5},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             Hyperparameters(**kwargs)
+
+    def test_counts_are_integers(self):
+        hp = Hyperparameters(k_max=np.int64(3), max_iter=np.int32(200), seed=np.uint8(4))
+        assert hp.resolve_k_max(10) == 3
+        for name in ("k_max", "burn_in", "check_interval", "max_iter", "seed"):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer, got 1.5"):
+                Hyperparameters(**{name: 1.5})
 
 
 class TestVariationalState:
@@ -132,6 +163,13 @@ class TestPlantedTruth:
         truth = PlantedTruth(Z, A)
         expected = np.array([[True, False], [False, True], [False, False]])
         assert (truth.mask == expected).all()
+
+    def test_leaves_the_callers_arrays_writable(self):
+        Z, A = np.array([[1]], dtype=np.int8), np.array([[0.5, 1.0]])
+        truth = PlantedTruth(Z, A)
+        assert Z.flags.writeable and A.flags.writeable
+        A[0, 0] = 0.0
+        assert truth.mask.tolist() == [[True, True]]
 
     def test_mask_ignores_exactly_zero_effects(self):
         Z = np.array([[1]])
