@@ -15,7 +15,7 @@ from . import engine
 from .engine import fit
 from .errors import ValidationError
 from .streams import child_rng, child_seed_sequence
-from .types import Dataset, Hyperparameters, VariationalState
+from .types import Dataset, Hyperparameters, VariationalState, require_integer
 
 __all__ = [
     "AssociationScores",
@@ -137,6 +137,7 @@ def run_permutation_fdr(
     permutation fit that stops unconverged (`fit` logs a warning naming its
     batch member) is kept, since its scores are still valid null draws.
     """
+    require_integer(n_permutations, "n_permutations")
     if n_permutations < 1:
         raise ValidationError(f"n_permutations must be >= 1, got {n_permutations}")
     _check_fdr_target(fdr_target)

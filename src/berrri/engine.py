@@ -142,10 +142,10 @@ def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: 
     return offset, coef
 
 
-def _nonfinite_logit(k: int, q: int, b: int, batch_size: int) -> EngineError:
-    member = f" of batch member {b}" if batch_size > 1 else ""
+def _nonfinite_logit(ws: BatchData, row: int, k: int, q: int) -> EngineError:
     return EngineError(
-        f"non-finite inclusion logit at factor {k}, SNP {q}{member}; state is corrupted"
+        f"non-finite inclusion logit at factor {k}, SNP {q}{ws.name(row, ' of {}')}; "
+        "state is corrupted"
     )
 
 
@@ -157,7 +157,7 @@ def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k:
     E = np.ascontiguousarray(batch.eta[:, :, k])
     bad = kernels.eta_factor_sweep(ws.XT, E, offset, coef)
     if bad is not None:
-        raise _nonfinite_logit(k, bad[1], bad[0], len(E))
+        raise _nonfinite_logit(ws, bad[0], k, bad[1])
     batch.eta[:, :, k] = E
 
 
@@ -168,7 +168,7 @@ def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: i
     offset, coef = _eta_factor_terms(batch, ws, hp.sigma2, k)
     E = state.eta[:, k].copy()
     if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[q, 0], coef[0])):
-        raise _nonfinite_logit(k, q, 0, 1)
+        raise _nonfinite_logit(ws, 0, k, q)
     state.eta[q, k] = E[q]
     return state.eta[q, k]
 
@@ -184,7 +184,10 @@ def _A_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: i
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):
-        raise EngineError(f"effect-size precision for factor {k} is not positive definite")
+        b = np.flatnonzero(~(np.isfinite(precision) & (precision > 0)).all(axis=1))[0]
+        raise EngineError(
+            f"effect-size precision for factor {k}{ws.name(b, ' of {}')} is not positive definite"
+        )
     batch.varphi[:, k] = 1.0 / precision
     batch.phi[:, k] = MR_k / sigma2 * batch.varphi[:, k]
 
@@ -400,11 +403,18 @@ def fit(data, hp: Hyperparameters, init_state=None):
     Non-convergence at max_iter is logged as one warning, not raised.
     Every update should raise the ELBO, so each sweep that lowers it by more
     than ELBO_DECREASE_RTOL of its previous value is logged as a warning and
-    counted in the report's elbo_decreases.  Log lines name batch members.
+    counted in the report's elbo_decreases.  Log lines and errors of a batch
+    built from more than one Dataset name the member by its position in
+    `data` (see `BatchData.name`).
     """
     batched = not isinstance(data, Dataset)
     datasets = list(data) if batched else [data]
     B = len(datasets)
+    if batched and isinstance(init_state, VariationalState):
+        raise ValidationError(
+            f"a batch needs one plain initial state per dataset, got one VariationalState "
+            f"for {B} datasets"
+        )
     inits = [None] * B if init_state is None else list(init_state) if batched else [init_state]
     if B == 0 or len(inits) != B:
         raise ValidationError(
@@ -428,7 +438,6 @@ def fit(data, hp: Hyperparameters, init_state=None):
     ws = BatchData(datasets)
     reports = [FitReport(hp.burn_in, hp.check_interval) for _ in range(B)]
     results = [None] * B
-    active = list(range(B))
     stack = VariationalState.stack(states)
 
     for n_sweeps in range(1, hp.max_iter + 1):
@@ -436,9 +445,9 @@ def fit(data, hp: Hyperparameters, init_state=None):
         values = elbo(stack, ws, hp)
         means = _block_means(stack)
         staying = []
-        for i, b in enumerate(active):
+        for i, b in enumerate(ws.members):
             report = reports[b]
-            member = f"batch member {b}: " if batched else ""
+            member = ws.name(i, "{}: ")
             if report.record(means[i], values[i]):
                 logger.warning(
                     "%siteration %d: elbo fell from %.6f to %.6f",
@@ -466,8 +475,7 @@ def fit(data, hp: Hyperparameters, init_state=None):
             results[b] = stack.member(i).copy()
         if not staying:
             break
-        if len(staying) < len(active):
-            active = [active[i] for i in staying]
+        if len(staying) < len(ws):
             stack = VariationalState.stack([stack.member(i) for i in staying])
             ws.keep(staying)
 

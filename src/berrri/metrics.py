@@ -72,6 +72,13 @@ class PRCurve:
         return list(zip(self.thresholds, self.precision, self.recall))
 
 
+def _count_at_least(values: np.ndarray, t) -> np.ndarray:
+    """How many of `values` are >= each threshold in `t` (a NaN never is),
+    by binary search in the sorted values."""
+    ranked = np.sort(values[~np.isnan(values)])
+    return ranked.size - np.searchsorted(ranked, t, side="left")
+
+
 def precision_recall(scores, mask, thresholds=None) -> PRCurve:
     """PR curve of a score matrix against a binary truth mask.
 
@@ -93,17 +100,11 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
             t = t[idx]
     else:
         t = np.asarray(thresholds, dtype=np.float64)
-        if t.size > 1 and not (np.diff(t) < 0).all():
-            raise ValidationError("thresholds must be strictly decreasing")
 
-    precision = np.empty(t.size)
-    recall = np.empty(t.size)
-    for i, thr in enumerate(t):
-        predicted = s >= thr
-        tp = int((predicted & m).sum())
-        n_pred = int(predicted.sum())
-        precision[i] = tp / n_pred if n_pred else 1.0
-        recall[i] = tp / positives
+    tp = _count_at_least(s[m], t)
+    n_pred = _count_at_least(s.ravel(), t)
+    precision = np.where(n_pred > 0, tp / np.maximum(n_pred, 1), 1.0)
+    recall = tp / positives
     return PRCurve(thresholds=t, precision=precision, recall=recall)
 
 

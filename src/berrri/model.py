@@ -147,8 +147,8 @@ def elbo(state: VariationalState, data, hp: Hyperparameters):
     values = _expected_log_joint(batch, data, hp, psi) + _entropy(batch, psi)
     if not np.isfinite(values).all():
         b = int(np.flatnonzero(~np.isfinite(values))[0])
-        member = f" for batch member {b}" if state.eta.ndim == 3 else ""
         raise EngineError(
-            f"ELBO is not finite ({values[b]}){member}; variational parameters are degenerate"
+            f"ELBO is not finite ({values[b]}){data.name(b, ' for {}')}; "
+            "variational parameters are degenerate"
         )
     return _result(values, state)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .streams import child_rng
-from .types import GENOTYPE_VALUES, Dataset, PlantedTruth
+from .types import GENOTYPE_VALUES, Dataset, PlantedTruth, require_integer
 
 __all__ = ["SimConfig", "synthetic_genotypes", "simulate"]
 
@@ -40,6 +40,8 @@ class SimConfig:
     genotypes: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("n_individuals", "n_snps", "n_traits", "k_true", "seed"):
+            require_integer(getattr(self, name), name)
         for name in ("n_individuals", "n_snps", "n_traits", "k_true"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")

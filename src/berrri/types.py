@@ -39,6 +39,13 @@ def reject_repeats(ids, kind: str, where: str, start: int = 0):
         seen[item] = n
 
 
+def require_integer(value, name: str):
+    """Raise unless `value` is an integer (numpy integers included), naming
+    the field it was given for."""
+    if not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def owned_array(value, dtype) -> np.ndarray:
     """A read-only array of `value` for a record to hold.  An input that is
     already read-only and owns its memory (another record's field) is
@@ -184,9 +191,8 @@ class Hyperparameters:
             if not (np.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite number, got {v}")
         for name in ("k_max", "burn_in", "check_interval", "max_iter", "seed"):
-            v = getattr(self, name)
-            if not (isinstance(v, Integral) or (name == "k_max" and v is None)):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            if not (name == "k_max" and self.k_max is None):
+                require_integer(getattr(self, name), name)
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
         if not 0 < self.p_thresh < 1:
@@ -301,7 +307,12 @@ class BatchData:
     X's column sums of squares, their traits stacked B x N x P and each
     member's ||Y_b||^2; the column sums and the norms are read from the
     members' Datasets.  X's transpose and the residual scratch are built on
-    first use, so scoring one fit forms neither."""
+    first use, so scoring one fit forms neither.
+
+    It is also the record of which fits the batch holds: `members[i]` is
+    the position, among the datasets it was built from, of the fit whose
+    traits are row i.  A batch built from one dataset is a single fit and
+    names no member (`name`)."""
 
     def __init__(self, datasets):
         datasets = list(datasets)
@@ -318,6 +329,8 @@ class BatchData:
         # a fit on its own holds a view of its traits, not a stacked copy
         self.Y = datasets[0].Y[None] if len(datasets) == 1 else np.stack([d.Y for d in datasets])
         self.yy = np.array([d.yy for d in datasets])
+        self.members = np.arange(len(datasets))
+        self._single = len(datasets) == 1
 
     def __len__(self) -> int:
         return len(self.Y)
@@ -331,10 +344,17 @@ class BatchData:
         # reused for every factor, so a sweep allocates no N x P temporaries
         return np.empty(self.Y.shape)
 
+    def name(self, row: int, template: str) -> str:
+        """`template` with "batch member b" put in, b being the position of
+        row `row`'s fit among the datasets the batch was built from; "" for
+        a single fit."""
+        return "" if self._single else template.format(f"batch member {self.members[row]}")
+
     def keep(self, rows):
         """Keep only the given members; the genotype constants stay."""
         self.Y = self.Y[rows]
         self.yy = self.yy[rows]
+        self.members = self.members[rows]
         self.__dict__.pop("residual", None)
 
 

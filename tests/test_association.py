@@ -199,6 +199,8 @@ class TestRunPermutationFdr:
         data, _, hp = self._small()
         with pytest.raises(ValidationError, match="n_permutations"):
             run_permutation_fdr(data, hp, n_permutations=0)
+        with pytest.raises(ValidationError, match="n_permutations must be an integer, got 2.0"):
+            run_permutation_fdr(data, hp, n_permutations=2.0)
 
     def test_null_distribution_invariant_to_seed(self):
         # the distribution of permuted-fit scores must not depend on the

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import berrri.engine
+import berrri.kernels
+import berrri.model
 from berrri import (
     Dataset,
     EngineError,
@@ -32,6 +34,18 @@ def six_member_batch():
     hp = Hyperparameters(k_max=4, burn_in=0, check_interval=10, max_iter=65)
     starts = [initial_state(d, replace(hp, seed=j)) for j, d in enumerate(datasets)]
     return datasets, hp, starts
+
+
+def fail_kernel_when(monkeypatch, rows_left: int, row: int):
+    """Make the inclusion kernel report a non-finite logit at `row`, SNP 0,
+    once the batch is down to `rows_left` rows."""
+    real = berrri.kernels.eta_factor_sweep
+
+    def sweep_then_fail(XT, E, offset, coef):
+        bad = real(XT, E, offset, coef)
+        return (row, 0) if len(E) == rows_left else bad
+
+    monkeypatch.setattr(berrri.kernels, "eta_factor_sweep", sweep_then_fail)
 
 
 class TestSweep:
@@ -102,6 +116,19 @@ class TestSweep:
             sweep(batch, BatchData([data, data]), hp)
         assert not (batch.eta[:, :, 0] == before[:, :, 0]).all()  # factor 0 ran
         assert (batch.eta[:, :, 1] == before[:, :, 1]).all()
+
+    def test_nonpositive_effect_precision_names_the_member(self):
+        data, hp, state = micro_instance(n=6, q=5, p=4, k=3, seed=52)
+        batch = VariationalState.stack([state, state])
+        batch.kappa[1, 2, 0, 0] = np.nan
+        with pytest.raises(
+            EngineError, match=r"precision for factor 2 of batch member 1 is not positive definite"
+        ):
+            sweep(batch, BatchData([data, data]), hp)
+        single = state.copy()
+        single.kappa[2, 0, 0] = np.nan
+        with pytest.raises(EngineError, match=r"precision for factor 2 is not positive definite"):
+            sweep(single, data, hp)
 
 
 class TestFit:
@@ -233,6 +260,8 @@ class TestFit:
             fit(data, hp, init_state=VariationalState.stack([start, start]))
         with pytest.raises(ValidationError, match="must be a VariationalState, got list"):
             fit(data, hp, init_state=[start])
+        with pytest.raises(ValidationError, match="one plain initial state per dataset"):
+            fit([data, data], hp, VariationalState.stack([start, start]))
 
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
@@ -295,3 +324,30 @@ class TestFit:
         assert report.elbo_trace == values
         assert report.elbo_decreases == 2
         assert caplog.text.count("elbo fell") == 2
+
+    def test_error_names_a_member_by_its_place_in_the_batch(self, monkeypatch):
+        # member 3 leaves at sweep 50 and members 1, 2 and 4 at sweep 60;
+        # stack row 1 then holds member 5
+        datasets, hp, starts = six_member_batch()
+        fail_kernel_when(monkeypatch, rows_left=2, row=1)
+        with pytest.raises(EngineError, match=r"factor 0, SNP 0 of batch member 5; "):
+            fit(datasets, hp, starts)
+
+    def test_error_names_the_last_member_left(self, monkeypatch):
+        # member 0 (six_member_batch's member 3) leaves at sweep 50
+        datasets, hp, starts = six_member_batch()
+        fail_kernel_when(monkeypatch, rows_left=1, row=0)
+        with pytest.raises(EngineError, match=r"factor 0, SNP 0 of batch member 1; "):
+            fit([datasets[3], datasets[0]], hp, [starts[3], starts[0]])
+
+    def test_degenerate_elbo_of_a_single_fit_names_no_member(self, monkeypatch):
+        monkeypatch.setattr(berrri.model, "_entropy", lambda batch, psi: np.full(len(batch.eta), np.nan))
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=1))
+        hp = Hyperparameters(k_max=2, burn_in=2, check_interval=5, max_iter=10)
+        for given in (data, [data]):
+            with pytest.raises(
+                EngineError, match=r"^ELBO is not finite \(nan\); variational parameters are degenerate$"
+            ):
+                fit(given, hp)
+        with pytest.raises(EngineError, match=r"\(nan\) for batch member 0; "):
+            fit([data, data], hp)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -75,6 +75,21 @@ class TestPrecisionRecall:
         assert np.allclose(curve.recall, [0.25, 0.5, 0.75, 1.0])
         # step-wise average precision: each recall step of 1/4 at its precision
         assert curve.auc == pytest.approx(0.25 * (1 + 2 / 3 + 3 / 5 + 4 / 9), rel=1e-12)
+
+    @given(
+        arrays(np.float64, (4, 5), elements=st.sampled_from([-1.0, 0.0, 0.25, 0.5, np.inf])),
+        arrays(bool, (4, 5)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_counts_match_a_comparison_at_every_threshold(self, scores, mask):
+        assume(mask.any())
+        for thresholds in (None, [2.0, 0.5, 0.1, -3.0]):
+            curve = precision_recall(scores, mask, thresholds)
+            for thr, p, r in curve.rows():
+                predicted = scores >= thr
+                tp = int((predicted & mask).sum())
+                assert p == (tp / int(predicted.sum()) if predicted.any() else 1.0)
+                assert r == tp / int(mask.sum())
 
     def test_default_thresholds_subsampled_and_decreasing(self):
         rng = np.random.default_rng(1)

@@ -20,6 +20,15 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(**kwargs)
 
+    def test_counts_and_seed_are_integers(self):
+        cfg = SimConfig(n_individuals=np.int64(20), n_snps=np.int32(6), k_true=2, seed=np.uint8(3))
+        data, _ = simulate(cfg)
+        assert data.X.shape == (20, 6)
+        for name, value in (("n_individuals", 30.5), ("n_snps", 8.5), ("n_traits", 4.0),
+                            ("k_true", 2.5), ("seed", 1.5)):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value}"):
+                SimConfig(**{name: value})
+
 
 class TestSyntheticGenotypes:
     def test_support(self):
