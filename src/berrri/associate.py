@@ -14,6 +14,7 @@ import numpy as np
 from . import engine
 from .engine import fit
 from .errors import ValidationError
+from .metrics import _count_at_least
 from .streams import child_rng, child_seed_sequence
 from .types import Dataset, Hyperparameters, VariationalState, require_integer
 
@@ -96,27 +97,20 @@ def fdr_threshold(real_scores, null_scores, fdr_target: float) -> Optional[float
     cutoff; None when no candidate qualifies.
     """
     real = np.asarray(real_scores, dtype=np.float64).ravel()
-    null = np.sort(np.asarray(null_scores, dtype=np.float64).ravel())
+    null = np.asarray(null_scores, dtype=np.float64).ravel()
     if real.size == 0 or null.size == 0:
         raise ValidationError("both real and null score sets must be non-empty")
     _check_fdr_target(fdr_target)
     scale = real.size / null.size
 
-    real_sorted = np.sort(real)
     candidates = np.unique(real)[::-1]                 # descending
-    n_ge_real = real.size - np.searchsorted(real_sorted, candidates, side="left")
-    n_ge_null = null.size - np.searchsorted(null, candidates, side="left")
+    n_ge_real = _count_at_least(real, candidates)
+    n_ge_null = _count_at_least(null, candidates)
 
-    threshold = None
-    worst = 0.0                                        # max estimate over cutoffs >= t
-    # every candidate is an observed real score, so ge_real >= 1
-    for t, ge_real, ge_null in zip(candidates, n_ge_real, n_ge_null):
-        worst = max(worst, ge_null / ge_real * scale)
-        if worst <= fdr_target:
-            threshold = float(t)
-        else:
-            break
-    return threshold
+    # every candidate is an observed real score, so n_ge_real >= 1
+    worst = np.maximum.accumulate(n_ge_null / n_ge_real * scale)  # max estimate over cutoffs >= t
+    n_usable = np.searchsorted(worst, fdr_target, side="right")
+    return float(candidates[n_usable - 1]) if n_usable else None
 
 
 def run_permutation_fdr(
@@ -131,11 +125,11 @@ def run_permutation_fdr(
     The real fit and the permutation refits run as one batch of one model:
     the real fit is batch member 0 and permutation j is member j + 1.  The
     members share `hp` and differ only in their traits and their initial
-    state; permutation j starts from `initial_state` under its own derived
-    seed.  Every member's result is bit for bit that of its fit on its own,
-    so the real fit and its report equal `fit(data, hp)` exactly.  A
-    permutation fit that stops unconverged (`fit` logs a warning naming its
-    batch member) is kept, since its scores are still valid null draws.
+    state: `fit` builds the real fit's start itself, and permutation j starts
+    from `initial_state` under its own derived seed.  Every member's result
+    is bit for bit that of its fit on its own, so the real fit and its report
+    equal `fit(data, hp)` exactly.  An unconverged permutation fit (`fit`
+    logs a warning naming it) is kept: its scores are still valid null draws.
     """
     require_integer(n_permutations, "n_permutations")
     if n_permutations < 1:
@@ -144,7 +138,7 @@ def run_permutation_fdr(
     shuffled = [
         permute_labels(data, child_rng(hp.seed, "fdr-permutation", j)) for j in range(n_permutations)
     ]
-    starts = [engine.initial_state(data, hp)]
+    starts = [None]                                    # the real fit starts as `fit` starts it
     for j, d in enumerate(shuffled):
         seed = int(child_seed_sequence(hp.seed, "fdr-fit", j).generate_state(1)[0])
         starts.append(engine.initial_state(d, replace(hp, seed=seed)))

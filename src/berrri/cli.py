@@ -116,14 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--genotypes", default=None, help="optional external genotype TSV to subsample")
 
     fit_p = sub.add_parser("fit", help="fit the model and write association scores")
-    _add_out_dir(fit_p)
-    _add_input_flags(fit_p)
-    _add_flags(fit_p, _HYPER_FLAGS, hyper_defaults)
-
     fdr_p = sub.add_parser("fdr", help="fit plus permutation FDR calibration")
-    _add_out_dir(fdr_p)
-    _add_input_flags(fdr_p)
-    _add_flags(fdr_p, _HYPER_FLAGS, hyper_defaults)
+    for command in (fit_p, fdr_p):
+        _add_out_dir(command)
+        _add_input_flags(command)
+        _add_flags(command, _HYPER_FLAGS, hyper_defaults)
     _add_flags(fdr_p, _FDR_FLAGS, fdr_defaults)
 
     eval_p = sub.add_parser("eval", help="score a fit (or any score file) against truth")
@@ -176,8 +173,11 @@ def _cmd_fit(args) -> int:
     out_dir = _require_out_dir(args)
     data = io.load_dataset(args.genotypes, args.traits, args.snp_positions, args.trait_positions)
     hp = _hp_from_args(args)
-    state, report = fit(data, hp)
-    paths = io.save_results(out_dir, data, state, report, config=_run_config(args))
+    if args.subcommand == "fdr":
+        scores, state, report = run_permutation_fdr(data, hp, **_values(args, _FDR_FLAGS))
+    else:
+        scores, (state, report) = None, fit(data, hp)
+    paths = io.save_results(out_dir, data, state, report, scores=scores, config=_run_config(args))
     logger.info(
         "fit %s in %d iterations (k_effective=%d) -> %s",
         "converged" if report.converged else "stopped",
@@ -185,21 +185,13 @@ def _cmd_fit(args) -> int:
         state.effective_k(),
         paths["manifest"],
     )
-    return 0
-
-
-def _cmd_fdr(args) -> int:
-    out_dir = _require_out_dir(args)
-    data = io.load_dataset(args.genotypes, args.traits, args.snp_positions, args.trait_positions)
-    hp = _hp_from_args(args)
-    scores, state, report = run_permutation_fdr(data, hp, **_values(args, _FDR_FLAGS))
-    paths = io.save_results(out_dir, data, state, report, scores=scores, config=_run_config(args))
-    logger.info(
-        "fdr threshold=%s discoveries=%d -> %s",
-        "none" if scores.threshold is None else f"{scores.threshold:.6g}",
-        int(scores.discoveries().sum()),
-        paths["manifest"],
-    )
+    if scores is not None:
+        logger.info(
+            "fdr threshold=%s discoveries=%d -> %s",
+            "none" if scores.threshold is None else f"{scores.threshold:.6g}",
+            int(scores.discoveries().sum()),
+            paths["manifest"],
+        )
     return 0
 
 
@@ -235,7 +227,7 @@ def _cmd_eval(args) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "fit": _cmd_fit,
-    "fdr": _cmd_fdr,
+    "fdr": _cmd_fit,
     "eval": _cmd_eval,
 }
 

@@ -256,13 +256,15 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     factors.tsv (snp, factor, inclusion probability), loadings.tsv (factor,
     trait, effect mean), null_scores.tsv when a permutation null is attached,
     and manifest.json, which holds the real fit's `FitReport.summary()` at
-    its top level and each permutation fit's under `permutation_fits`.
-    Returns {name: path}.
+    its top level and each permutation fit's under `permutation_fits`.  The
+    scores are `state`'s; `scores` adds only its calibration, flagging the
+    pairs whose magnitude reaches its threshold.  Returns {name: path}.
     """
     out = _prepare_out_dir(out_dir)
-    signed = scores.signed if scores is not None else vmap_signed(state)
+    signed = vmap_signed(state)
     magnitude = np.abs(signed)
-    significant = scores.discoveries() if scores is not None else np.zeros_like(magnitude, dtype=bool)
+    threshold = scores.threshold if scores is not None else None
+    significant = magnitude >= threshold if threshold is not None else np.zeros_like(magnitude, dtype=bool)
     with_distance = dataset.snp_positions is not None and dataset.trait_positions is not None
 
     paths = {}
@@ -308,7 +310,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "config": config or {},
         **report.summary(),
         "k_effective": state.effective_k(),
-        "threshold": scores.threshold if scores is not None else None,
+        "threshold": threshold,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
         "permutation_fits": [r.summary() for r in scores.permutation_reports] if scores is not None else None,

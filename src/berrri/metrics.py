@@ -73,9 +73,8 @@ class PRCurve:
 
 
 def _count_at_least(values: np.ndarray, t) -> np.ndarray:
-    """How many of `values` are >= each threshold in `t` (a NaN never is),
-    by binary search in the sorted values."""
-    ranked = np.sort(values[~np.isnan(values)])
+    """How many of `values` are >= each threshold in `t`, by binary search."""
+    ranked = np.sort(values)
     return ranked.size - np.searchsorted(ranked, t, side="left")
 
 
@@ -84,11 +83,15 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
 
     Default thresholds are the unique observed scores in descending order,
     subsampled to at most 500 points.  Precision with zero predictions is 1.
+    A NaN score is an error naming its cell; infinite scores are allowed.
     """
     s = np.asarray(scores, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     if s.shape != m.shape:
         raise ValidationError(f"shape mismatch: scores {s.shape} vs mask {m.shape}")
+    if np.isnan(s).any():
+        row, col = np.argwhere(np.isnan(np.atleast_2d(s)))[0]
+        raise ValidationError(f"score at row {row}, column {col} is NaN")
     positives = int(m.sum())
     if positives == 0:
         raise ValidationError("mask has no positive entries")

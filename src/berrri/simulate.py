@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .streams import child_rng
-from .types import GENOTYPE_VALUES, Dataset, PlantedTruth, require_integer
+from .types import GENOTYPE_VALUES, Dataset, PlantedTruth, require_integer, require_positive_finite
 
 __all__ = ["SimConfig", "synthetic_genotypes", "simulate"]
 
@@ -49,13 +49,16 @@ class SimConfig:
             raise ValidationError(
                 f"k_true ({self.k_true}) cannot exceed n_snps ({self.n_snps})"
             )
-        if not (self.effect_sd > 0 and self.noise_sd > 0):
-            raise ValidationError("effect_sd and noise_sd must be positive")
+        for name in ("effect_sd", "noise_sd"):
+            require_positive_finite(getattr(self, name), name)
         if not 0.0 <= self.correlation_floor <= 1.0:
             raise ValidationError(
                 f"correlation_floor must lie in [0, 1], got {self.correlation_floor}"
             )
-        lo, hi = self.maf_range
+        try:
+            lo, hi = self.maf_range
+        except (TypeError, ValueError):
+            raise ValidationError(f"maf_range must be a pair (lo, hi), got {self.maf_range!r}") from None
         if not (0.0 < lo <= hi <= 0.5):
             raise ValidationError(f"maf_range must satisfy 0 < lo <= hi <= 0.5, got {self.maf_range}")
 

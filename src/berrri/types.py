@@ -40,10 +40,16 @@ def reject_repeats(ids, kind: str, where: str, start: int = 0):
 
 
 def require_integer(value, name: str):
-    """Raise unless `value` is an integer (numpy integers included), naming
-    the field it was given for."""
-    if not isinstance(value, Integral):
+    """Raise unless `value` is an integer (numpy integers included, bools
+    not), naming the field it was given for."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive_finite(value, name: str):
+    """Raise unless `value` is a positive finite number, naming the field."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be a positive finite number, got {value}")
 
 
 def owned_array(value, dtype) -> np.ndarray:
@@ -187,9 +193,7 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in ("alpha", "sigma2", "c", "d"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be a positive finite number, got {v}")
+            require_positive_finite(getattr(self, name), name)
         for name in ("k_max", "burn_in", "check_interval", "max_iter", "seed"):
             if not (name == "k_max" and self.k_max is None):
                 require_integer(getattr(self, name), name)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berrri import (
     Dataset,
@@ -140,6 +142,21 @@ class TestFdrThreshold:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             fdr_threshold([], [1.0], 0.1)
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=30),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=30),
+        st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition_at_every_candidate_with_ties(self, real, null, target):
+        # the smallest real score whose estimate, and that of every larger
+        # real score, is at or below the target
+        def estimate(t):
+            return sum(v >= t for v in null) / sum(v >= t for v in real) * (len(real) / len(null))
+
+        usable = [t for t in set(real) if all(estimate(u) <= target for u in set(real) if u >= t)]
+        assert fdr_threshold(real, null, target) == (min(usable) if usable else None)
 
 
 class TestRunPermutationFdr:

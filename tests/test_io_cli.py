@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import logging
 import os
 import platform
 
@@ -189,6 +190,21 @@ class TestSaveResults:
         ]).reshape(8, 4)
         assert (flagged.astype(bool) == scores.discoveries()).all()
 
+    def test_score_tables_describe_the_state_not_the_scores_signed(self, tmp_path):
+        from berrri import AssociationScores
+
+        data, state, report = self._fitted()
+        magnitude = np.abs(state.eta @ state.phi)
+        threshold = float(np.quantile(magnitude, 0.7))
+        scores = AssociationScores(signed=np.full_like(magnitude, 9.0), fdr_target=0.1, threshold=threshold)
+        paths = io.save_results(tmp_path / "r", data, state, report, scores=scores)
+        assert np.array_equal(io.load_matrix(paths["vmap_matrix"], "trait").values, magnitude)
+        rows = [line.split("\t") for line in paths["vmap"].read_text().splitlines()[1:]]
+        assert np.array_equal(np.array([float(r[3]) for r in rows]).reshape(8, 4), magnitude)
+        flagged = np.array([int(r[4]) for r in rows]).reshape(8, 4).astype(bool)
+        assert (flagged == (magnitude >= threshold)).all() and flagged.any()
+        assert io.load_manifest(paths["manifest"])["n_discoveries"] == int(flagged.sum())
+
     def test_distance_column_present_with_positions(self, tmp_path):
         data, state, report = self._fitted(with_positions=True)
         paths = io.save_results(tmp_path / "r", data, state, report)
@@ -362,6 +378,24 @@ class TestCli:
         scores = [line.split("\t")[:4] for line in (out / "vmap.tsv").read_text().splitlines()]
         fitted = [line.split("\t")[:4] for line in (tmp_path / "fit" / "vmap.tsv").read_text().splitlines()]
         assert scores == fitted
+
+    def test_fdr_logs_the_fit_line_then_the_threshold_line(self, tmp_path, caplog):
+        sim = self._simulate(tmp_path)
+        out = tmp_path / "fdr"
+        with caplog.at_level(logging.INFO, logger="berrri"):
+            assert run([
+                "fdr", "--genotypes", str(sim / "genotypes.tsv"), "--traits", str(sim / "traits.tsv"),
+                "--out-dir", str(out), "--k-max", "2", "--burn-in", "10", "--check-interval", "10",
+                "--max-iter", "40", "--n-permutations", "1",
+            ]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.module == "cli"]
+        assert len(lines) == 2
+        assert lines[0].startswith("fit ") and lines[0].endswith(f"-> {out / 'manifest.json'}")
+        manifest = io.load_manifest(out / "manifest.json")
+        threshold = "none" if manifest["threshold"] is None else f"{manifest['threshold']:.6g}"
+        assert lines[1] == (
+            f"fdr threshold={threshold} discoveries={manifest['n_discoveries']} -> {out / 'manifest.json'}"
+        )
 
     def test_default_flags_fit_the_library_model(self, tmp_path):
         from berrri.cli import _hp_from_args, build_parser

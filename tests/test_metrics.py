@@ -114,6 +114,12 @@ class TestPrecisionRecall:
         t[0] = 2.0
         assert curve.thresholds[0] == 0.85
 
+    @pytest.mark.parametrize("thresholds", [None, [0.3]])
+    def test_nan_score_rejected_naming_its_cell(self, thresholds):
+        scores = [[0.5, 0.4], [0.2, np.nan]]
+        with pytest.raises(ValidationError, match="score at row 1, column 1 is NaN"):
+            precision_recall(scores, [[True, False], [False, True]], thresholds)
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             precision_recall(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))

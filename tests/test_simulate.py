@@ -14,11 +14,23 @@ class TestSimConfig:
             {"correlation_floor": 1.2},
             {"maf_range": (0.0, 0.4)},
             {"maf_range": (0.3, 0.6)},
+            {"effect_sd": float("inf")},
+            {"noise_sd": float("nan")},
+            {"maf_range": (0.1,)},
+            {"maf_range": 0.3},
+            {"seed": False},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("effect_sd", float("inf")), ("noise_sd", 0.0), ("maf_range", (0.1,)), ("maf_range", 0.3),
+    ])
+    def test_error_names_the_field(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            SimConfig(**{name: value})
 
     def test_counts_and_seed_are_integers(self):
         cfg = SimConfig(n_individuals=np.int64(20), n_snps=np.int32(6), k_true=2, seed=np.uint8(3))

@@ -111,6 +111,8 @@ class TestHyperparameters:
             {"k_max": 2.5},
             {"max_iter": 101.5},
             {"seed": 1.5},
+            {"k_max": True},
+            {"seed": False},
         ],
     )
     def test_rejects_invalid(self, kwargs):
