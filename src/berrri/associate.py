@@ -94,12 +94,16 @@ def fdr_threshold(real_scores, null_scores, fdr_target: float) -> Optional[float
     ratio of real to null test counts.  The returned threshold is the smallest
     real score such that the estimate stays at or below the target for it and
     every larger candidate, so the declared set is stable under raising the
-    cutoff; None when no candidate qualifies.
+    cutoff; None when no candidate qualifies.  A NaN score in either set is
+    an error naming the set and its index (in the flattened scores).
     """
     real = np.asarray(real_scores, dtype=np.float64).ravel()
     null = np.asarray(null_scores, dtype=np.float64).ravel()
     if real.size == 0 or null.size == 0:
         raise ValidationError("both real and null score sets must be non-empty")
+    for name, scores in (("real", real), ("null", null)):
+        if np.isnan(scores).any():
+            raise ValidationError(f"{name} score at index {np.flatnonzero(np.isnan(scores))[0]} is NaN")
     _check_fdr_target(fdr_target)
     scale = real.size / null.size
 

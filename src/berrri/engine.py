@@ -24,6 +24,13 @@ ELBO and the trace means of all members with one call each.  A single fit
 is the batch of one.  Every product is formed per member (stacked
 `matmul`), never as one BLAS call across members, so a member's result is
 bit for bit that of the same fit run on its own.
+
+Each factor's N x P residual is formed a block of rows at a time
+(`BatchData.row_blocks`), so a block stays in cache between its product,
+its subtraction and its reduction; every entry is still formed once per
+use.  The block height depends on P only, never on the batch size or the
+host, so it keeps a member's bits independent of its batch; a fit whose
+residual fits one block forms exactly the products of an unblocked one.
 """
 
 import logging
@@ -116,24 +123,29 @@ def update_lambda(state: VariationalState, hp: Hyperparameters, k: int):
     return state.lam[k, 0], state.lam[k, 1]
 
 
-def _factor_residual(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: int):
+def _factor_residual_blocks(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: int):
     """Expected residuals Y - M @ phi of every member with factor k's
     contribution excluded, that is with column k of the loads M (B x N x K)
     zeroed (cheaper than adding the N x P outer product M[:, k] phi[k]
-    back).  Written into the batch's residual scratch."""
+    back), formed a block of rows at a time in the batch's residual
+    scratch.  Yields each block's row slice and its B x rows x P residual,
+    which the next block overwrites."""
     M_other = M.copy()
     M_other[:, :, k] = 0.0
-    R = np.matmul(M_other, phi, out=ws.residual)
-    return np.subtract(ws.Y, R, out=R)
+    for rows in ws.row_blocks:
+        R = np.matmul(M_other[:, rows], phi, out=ws.residual[:, : rows.stop - rows.start])
+        yield rows, np.subtract(ws.Y[:, rows], R, out=R)
 
 
 def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int):
     """Parts of factor k's inclusion logits that stay fixed across its sweep,
     for every member: the logit offsets (Q x B) and the coefficient of the
     load term (length B)."""
-    R = _factor_residual(ws, ws.X @ batch.eta, batch.phi, k)
+    phi_k = batch.phi[:, k, :, None]
+    U = np.empty(ws.Y.shape[:2])
     # matmul forms, so a batch of one computes `R @ phi[k]` and `XT @ u` bit for bit
-    U = np.matmul(R, batch.phi[:, k, :, None])[..., 0]
+    for rows, R in _factor_residual_blocks(ws, ws.X @ batch.eta, batch.phi, k):
+        np.matmul(R, phi_k, out=U[:, rows, None])
     XU = np.matmul(ws.XT, U[..., None])[..., 0].T
     prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
     inv_sigma2 = 1.0 / sigma2
@@ -180,7 +192,12 @@ def _A_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: i
     # per-member matmul forms, so a member's bits do not depend on its batch
     var_k = np.matmul((eta_k * (1.0 - eta_k))[:, None, :], ws.x2sum)[:, 0]
     S_k = (M_k[:, None, :] @ M_k[:, :, None])[:, 0, 0] + var_k
-    MR_k = np.matmul(M_k[:, None, :], _factor_residual(ws, M, batch.phi, k))[:, 0]
+    MR_blocks = (
+        np.matmul(M_k[:, None, rows], R)[:, 0] for rows, R in _factor_residual_blocks(ws, M, batch.phi, k)
+    )
+    MR_k = next(MR_blocks)
+    for MR_rows in MR_blocks:
+        MR_k += MR_rows
     e_inv_delta = batch.kappa[:, k, :, 0] / batch.kappa[:, k, :, 1]
     precision = e_inv_delta + (S_k / sigma2)[:, None]
     if not (np.isfinite(precision).all() and (precision > 0).all()):

@@ -8,9 +8,10 @@ binary SNP-inclusion matrix with a truncated Indian-Buffet-Process prior
 a per-entry ARD (inverse-gamma variance) prior.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,14 @@ __all__ = [
 ]
 
 GENOTYPE_VALUES = (0.0, 1.0, 2.0)
+
+# Float64 entries of one member's residual block (512 KiB): a sweep forms
+# each factor's N x P residual this many entries at a time, so the block
+# stays in a core's cache between its product, subtraction and reduction.
+# The block height follows from P alone, never from the batch size or the
+# host, so a member's bits do not depend on its batch and outputs do not
+# depend on the machine.
+RESIDUAL_BLOCK_ENTRIES = 65536
 
 
 def reject_repeats(ids, kind: str, where: str, start: int = 0):
@@ -47,9 +56,10 @@ def require_integer(value, name: str):
 
 
 def require_positive_finite(value, name: str):
-    """Raise unless `value` is a positive finite number, naming the field."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be a positive finite number, got {value}")
+    """Raise unless `value` is a positive finite real number (numpy numbers
+    included, bools and strings not), naming the field it was given for."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def owned_array(value, dtype) -> np.ndarray:
@@ -311,7 +321,9 @@ class BatchData:
     X's column sums of squares, their traits stacked B x N x P and each
     member's ||Y_b||^2; the column sums and the norms are read from the
     members' Datasets.  X's transpose and the residual scratch are built on
-    first use, so scoring one fit forms neither.
+    first use, so scoring one fit forms neither.  The scratch holds one
+    block of `block_rows` rows per member (B x rows x P); `row_blocks` are
+    the row slices that cover N, each `block_rows` high but the last.
 
     It is also the record of which fits the batch holds: `members[i]` is
     the position, among the datasets it was built from, of the fit whose
@@ -335,6 +347,9 @@ class BatchData:
         self.yy = np.array([d.yy for d in datasets])
         self.members = np.arange(len(datasets))
         self._single = len(datasets) == 1
+        N, P = shape
+        self.block_rows = min(N, max(1, RESIDUAL_BLOCK_ENTRIES // P))
+        self.row_blocks = [slice(n, min(n + self.block_rows, N)) for n in range(0, N, self.block_rows)]
 
     def __len__(self) -> int:
         return len(self.Y)
@@ -345,8 +360,9 @@ class BatchData:
 
     @cached_property
     def residual(self) -> np.ndarray:
-        # reused for every factor, so a sweep allocates no N x P temporaries
-        return np.empty(self.Y.shape)
+        # reused for every block of every factor, so a sweep allocates no
+        # residual temporaries
+        return np.empty((len(self.Y), self.block_rows, self.Y.shape[2]))
 
     def name(self, row: int, template: str) -> str:
         """`template` with "batch member b" put in, b being the position of

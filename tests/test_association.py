@@ -19,6 +19,7 @@ from berrri import (
     vmap_signed,
 )
 from berrri.streams import child_rng
+from berrri.types import BatchData
 
 from conftest import random_state
 
@@ -143,6 +144,15 @@ class TestFdrThreshold:
         with pytest.raises(ValidationError, match="non-empty"):
             fdr_threshold([], [1.0], 0.1)
 
+    @pytest.mark.parametrize("real, null, message", [
+        ([np.nan, 1.0, 2.0], [0.5, 3.0], "real score at index 0 is NaN"),
+        ([1.0, 2.0], [0.5, 3.0, np.nan, np.nan], "null score at index 2 is NaN"),
+        ([[1.0, 2.0], [np.nan, 0.0]], [0.5], "real score at index 2 is NaN"),
+    ])
+    def test_nan_scores_rejected(self, real, null, message):
+        with pytest.raises(ValidationError, match=message):
+            fdr_threshold(real, null, 0.6)
+
     @given(
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=30),
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=30),
@@ -184,6 +194,17 @@ class TestRunPermutationFdr:
         )
 
     def test_real_fit_equals_fit_on_its_own(self):
+        self._assert_real_fit_equals_fit_on_its_own()
+
+    def test_real_fit_equals_fit_on_its_own_in_row_blocks(self, monkeypatch):
+        # residual blocks of 25 rows: the scratch that members leaving the
+        # batch rebuild spans three blocks, 25, 25 and 10 rows high
+        monkeypatch.setattr("berrri.types.RESIDUAL_BLOCK_ENTRIES", 150)
+        shape = BatchData([Dataset(X=np.zeros((60, 1)), Y=np.zeros((60, 6)))])
+        assert [rows.stop for rows in shape.row_blocks] == [25, 50, 60]
+        self._assert_real_fit_equals_fit_on_its_own()
+
+    def _assert_real_fit_equals_fit_on_its_own(self):
         # the real fit shares its batch with the permutation refits, which
         # leave it at other sweeps (65 for the real fit, [65, 50, 50] for
         # the permutations); it must still equal `fit` exactly

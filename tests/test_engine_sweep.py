@@ -48,29 +48,35 @@ def fail_kernel_when(monkeypatch, rows_left: int, row: int):
     monkeypatch.setattr(berrri.kernels, "eta_factor_sweep", sweep_then_fail)
 
 
+def assert_sweep_matches_public_updates():
+    """A sweep of one fit, and of a batch whose members differ in traits
+    and state, equals the public updates composed in sweep order."""
+    data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=31)
+    # a batch whose members differ in traits and state
+    batch_data, batch_hp, first = micro_instance(n=6, q=5, p=4, k=3, seed=50)
+    _, _, second = micro_instance(n=6, q=5, p=4, k=3, seed=51)
+    datasets = [batch_data, permute_labels(batch_data, 1)]
+    batch = VariationalState.stack([first, second])
+    sweep(batch, BatchData(datasets), batch_hp)
+    via_sweep = state.copy()
+    sweep(via_sweep, data, hp)
+    cases = [(via_sweep, state, data, hp)] + [
+        (batch.member(b), start, d, batch_hp)
+        for b, (start, d) in enumerate(zip([first, second], datasets))
+    ]
+    for swept, start, d, h in cases:
+        manual = start.copy()
+        compose_public_updates(manual, d, h)
+        assert np.allclose(swept.lam, manual.lam, rtol=1e-12, atol=1e-14)
+        assert np.allclose(swept.eta, manual.eta, rtol=1e-10, atol=1e-14)
+        assert np.allclose(swept.phi, manual.phi, rtol=1e-10, atol=1e-14)
+        assert np.allclose(swept.varphi, manual.varphi, rtol=1e-10, atol=1e-14)
+        assert np.allclose(swept.kappa, manual.kappa, rtol=1e-10, atol=1e-14)
+
+
 class TestSweep:
     def test_matches_composition_of_public_updates(self):
-        data, hp, state = micro_instance(n=5, q=4, p=3, k=2, seed=31)
-        # a batch whose members differ in traits and state
-        batch_data, batch_hp, first = micro_instance(n=6, q=5, p=4, k=3, seed=50)
-        _, _, second = micro_instance(n=6, q=5, p=4, k=3, seed=51)
-        datasets = [batch_data, permute_labels(batch_data, 1)]
-        batch = VariationalState.stack([first, second])
-        sweep(batch, BatchData(datasets), batch_hp)
-        via_sweep = state.copy()
-        sweep(via_sweep, data, hp)
-        cases = [(via_sweep, state, data, hp)] + [
-            (batch.member(b), start, d, batch_hp)
-            for b, (start, d) in enumerate(zip([first, second], datasets))
-        ]
-        for swept, start, d, h in cases:
-            manual = start.copy()
-            compose_public_updates(manual, d, h)
-            assert np.allclose(swept.lam, manual.lam, rtol=1e-12, atol=1e-14)
-            assert np.allclose(swept.eta, manual.eta, rtol=1e-10, atol=1e-14)
-            assert np.allclose(swept.phi, manual.phi, rtol=1e-10, atol=1e-14)
-            assert np.allclose(swept.varphi, manual.varphi, rtol=1e-10, atol=1e-14)
-            assert np.allclose(swept.kappa, manual.kappa, rtol=1e-10, atol=1e-14)
+        assert_sweep_matches_public_updates()
 
     def test_elbo_increases_on_first_sweep_from_random_init(self):
         cfg = SimConfig(n_individuals=40, n_snps=12, n_traits=6, k_true=2, seed=5)
@@ -129,6 +135,64 @@ class TestSweep:
         single.kappa[2, 0, 0] = np.nan
         with pytest.raises(EngineError, match=r"precision for factor 2 is not positive definite"):
             sweep(single, data, hp)
+
+
+class TestRowBlocks:
+    """Residuals formed in several row blocks.  Every other test shape fits
+    one block, so these shrink the block to reach the multi-block path."""
+
+    def test_blocked_products_match_unblocked(self, monkeypatch):
+        data, hp, first = micro_instance(n=23, q=5, p=7, k=3, seed=60)
+        _, _, second = micro_instance(n=23, q=5, p=7, k=3, seed=61)
+        datasets = [data, permute_labels(data, 1)]
+        batch = VariationalState.stack([first, second])
+        one_block = BatchData(datasets)
+        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 35)
+        blocked = BatchData(datasets)
+        assert [len(one_block.row_blocks), blocked.block_rows, len(blocked.row_blocks)] == [1, 5, 5]
+        assert blocked.residual.shape == (2, 5, 7)
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        M = blocked.X @ batch.eta
+        for k in range(batch.k_max):
+            M_other = M.copy()
+            M_other[:, :, k] = 0.0
+            R = blocked.Y - M_other @ batch.phi
+            blocks = berrri.engine._factor_residual_blocks(blocked, M, batch.phi, k)
+            U = np.concatenate([R_rows @ batch.phi[:, k, :, None] for _, R_rows in blocks], axis=1)
+            assert close(U, R @ batch.phi[:, k, :, None])
+            # the callers: U enters the logit offsets, M_k'R enters phi_k as
+            # M_k'R varphi_k / sigma2
+            terms = [berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k) for ws in (blocked, one_block)]
+            assert close(terms[0][0], terms[1][0])
+            updated = batch.copy()
+            berrri.engine._A_factor_update(updated, blocked, hp.sigma2, k, M)
+            MR = (M[:, None, :, k] @ R)[:, 0]
+            assert close(updated.phi[:, k], MR / hp.sigma2 * updated.varphi[:, k])
+
+    def test_sweep_matches_public_updates(self, monkeypatch):
+        # the helper's shapes have P of 3 and 4 over 5 and 6 rows
+        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 8)
+        assert_sweep_matches_public_updates()
+
+    def test_no_sweep_lowers_the_elbo(self, monkeypatch):
+        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 42)
+        data, _ = simulate(SimConfig(n_individuals=40, n_snps=12, n_traits=6, k_true=2, seed=5))
+        assert len(BatchData([data]).row_blocks) == 6
+        hp = Hyperparameters(k_max=4, seed=5, burn_in=0, check_interval=10, max_iter=60)
+        _, report = fit(data, hp)
+        assert report.iterations >= 20 and report.elbo_decreases == 0
+
+    def test_block_height_depends_on_traits_only(self):
+        # 65,536 entries per member over 1,200 traits: blocks of 54 rows
+        data = Dataset(X=np.zeros((120, 2)), Y=np.ones((120, 1200)))
+        alone, batch = BatchData([data]), BatchData([data] * 11)
+        assert alone.block_rows == batch.block_rows == 54
+        assert alone.row_blocks == batch.row_blocks == [slice(0, 54), slice(54, 108), slice(108, 120)]
+        assert alone.residual.shape[1:] == batch.residual.shape[1:] == (54, 1200)
+        assert BatchData([Dataset(X=np.zeros((3, 2)), Y=np.ones((3, 70000)))]).block_rows == 1
 
 
 class TestFit:

@@ -19,6 +19,8 @@ class TestSimConfig:
             {"maf_range": (0.1,)},
             {"maf_range": 0.3},
             {"seed": False},
+            {"effect_sd": "1"},
+            {"noise_sd": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -27,6 +29,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("effect_sd", float("inf")), ("noise_sd", 0.0), ("maf_range", (0.1,)), ("maf_range", 0.3),
+        ("effect_sd", "1"), ("noise_sd", True),
     ])
     def test_error_names_the_field(self, name, value):
         with pytest.raises(ValidationError, match=f"^{name} must be"):

@@ -113,11 +113,20 @@ class TestHyperparameters:
             {"seed": 1.5},
             {"k_max": True},
             {"seed": False},
+            {"alpha": "1"},
+            {"alpha": True},
+            {"sigma2": True},
+            {"d": None},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             Hyperparameters(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("alpha", "1"), ("sigma2", True), ("d", None)])
+    def test_error_names_the_field(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be a positive finite number"):
+            Hyperparameters(**{name: value})
 
     def test_counts_are_integers(self):
         hp = Hyperparameters(k_max=np.int64(3), max_iter=np.int32(200), seed=np.uint8(4))
