@@ -16,7 +16,7 @@ from .engine import fit
 from .errors import ValidationError
 from .metrics import _count_at_least
 from .streams import child_rng, child_seed_sequence
-from .types import Dataset, Hyperparameters, VariationalState, require_integer
+from .types import Dataset, Hyperparameters, VariationalState, is_real, require_integer
 
 __all__ = [
     "AssociationScores",
@@ -29,8 +29,8 @@ __all__ = [
 
 
 def _check_fdr_target(fdr_target: float):
-    if not 0.0 < fdr_target < 1.0:
-        raise ValidationError(f"fdr_target must lie in (0, 1), got {fdr_target}")
+    if not (is_real(fdr_target) and 0.0 < fdr_target < 1.0):
+        raise ValidationError(f"fdr_target must lie in (0, 1), got {fdr_target!r}")
 
 
 @dataclass(frozen=True)

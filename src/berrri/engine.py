@@ -26,9 +26,9 @@ is the batch of one.  Every product is formed per member (stacked
 bit for bit that of the same fit run on its own.
 
 Each factor's N x P residual is formed a block of rows at a time
-(`BatchData.row_blocks`), so a block stays in cache between its product,
+(`_factor_residual_blocks`), so a block stays in cache between its product,
 its subtraction and its reduction; every entry is still formed once per
-use.  The block height depends on P only, never on the batch size or the
+use.  The block height is set by P alone, never by the batch size or the
 host, so it keeps a member's bits independent of its batch; a fit whose
 residual fits one block forms exactly the products of an unblocked one.
 """
@@ -73,6 +73,14 @@ ELBO_DECREASE_RTOL = 1e-8
 # in its first 10%.
 _MIN_POST_BURN = 20
 
+# Float64 entries of one member's residual block (512 KiB): a sweep forms
+# each factor's N x P residual this many entries at a time, so the block
+# stays in a core's cache between its product, subtraction and reduction.
+# The block height follows from P alone, never from the batch size or the
+# host, so a member's bits do not depend on its batch and outputs do not
+# depend on the machine.
+RESIDUAL_BLOCK_ENTRIES = 65536
+
 
 def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     """Deterministic data-aware initialization.
@@ -92,12 +100,9 @@ def initial_state(data: Dataset, hp: Hyperparameters) -> VariationalState:
     phi = np.zeros((K, P))
     varphi = np.ones((K, P))
     state = VariationalState(lam=lam, eta=eta, phi=phi, varphi=varphi, kappa=np.empty((K, P, 2)))
+    # the effect-size update reads the ARD variances
     _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
-    batch, ws = batch_of(state, data)
-    M = ws.X @ batch.eta
-    for k in range(K):
-        _A_factor_update(batch, ws, hp.sigma2, k, M)
-    _kappa_update(state.kappa, state.varphi, state.phi, hp.c, hp.d)
+    _effect_blocks(*batch_of(state, data), hp)
     return state
 
 
@@ -127,13 +132,17 @@ def _factor_residual_blocks(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: in
     """Expected residuals Y - M @ phi of every member with factor k's
     contribution excluded, that is with column k of the loads M (B x N x K)
     zeroed (cheaper than adding the N x P outer product M[:, k] phi[k]
-    back), formed a block of rows at a time in the batch's residual
-    scratch.  Yields each block's row slice and its B x rows x P residual,
-    which the next block overwrites."""
+    back), formed RESIDUAL_BLOCK_ENTRIES // P rows at a time (at least one,
+    at most N) in one buffer.  Yields each block's row slice and its
+    B x rows x P residual, which the next block overwrites."""
+    B, N, P = ws.Y.shape
+    height = min(N, max(1, RESIDUAL_BLOCK_ENTRIES // P))
+    block = np.empty((B, height, P))
     M_other = M.copy()
     M_other[:, :, k] = 0.0
-    for rows in ws.row_blocks:
-        R = np.matmul(M_other[:, rows], phi, out=ws.residual[:, : rows.stop - rows.start])
+    for start in range(0, N, height):
+        rows = slice(start, min(start + height, N))
+        R = np.matmul(M_other[:, rows], phi, out=block[:, : rows.stop - start])
         yield rows, np.subtract(ws.Y[:, rows], R, out=R)
 
 
@@ -233,6 +242,15 @@ def update_kappa(state: VariationalState, hp: Hyperparameters, k: int, p: int):
     return state.kappa[k, p, 0], state.kappa[k, p, 1]
 
 
+def _effect_blocks(batch: VariationalState, ws: BatchData, hp: Hyperparameters):
+    """The close of a sweep: the effect sizes factor by factor, given the
+    loads of the current inclusion means, then the ARD variances."""
+    M = ws.X @ batch.eta
+    for k in range(batch.k_max):
+        _A_factor_update(batch, ws, hp.sigma2, k, M)
+    _kappa_update(batch.kappa, batch.varphi, batch.phi, hp.c, hp.d)
+
+
 def sweep(state: VariationalState, data, hp: Hyperparameters) -> VariationalState:
     """One full coordinate pass in block order lambda, eta, A, kappa.
 
@@ -255,11 +273,7 @@ def sweep(state: VariationalState, data, hp: Hyperparameters) -> VariationalStat
     for k in range(K):
         _eta_factor_update(batch, ws, hp.sigma2, k)
 
-    M = ws.X @ batch.eta
-    for k in range(K):
-        _A_factor_update(batch, ws, hp.sigma2, k, M)
-
-    _kappa_update(batch.kappa, batch.varphi, batch.phi, hp.c, hp.d)
+    _effect_blocks(batch, ws, hp)
     return state
 
 

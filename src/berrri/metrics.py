@@ -23,8 +23,6 @@ __all__ = [
     "per_sweep_seconds",
 ]
 
-MAX_PR_THRESHOLDS = 500
-
 
 def rss(y_true, y_pred) -> float:
     """Residual sum of squares over all matrix entries."""
@@ -81,9 +79,9 @@ def _count_at_least(values: np.ndarray, t) -> np.ndarray:
 def precision_recall(scores, mask, thresholds=None) -> PRCurve:
     """PR curve of a score matrix against a binary truth mask.
 
-    Default thresholds are the unique observed scores in descending order,
-    subsampled to at most 500 points.  Precision with zero predictions is 1.
-    A NaN score is an error naming its cell; infinite scores are allowed.
+    Default thresholds are the distinct observed scores in descending order,
+    so the curve has a point at every score.  Precision with zero
+    predictions is 1.  A NaN score is an error naming its cell; infinite scores are allowed.
     """
     s = np.asarray(scores, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
@@ -96,13 +94,7 @@ def precision_recall(scores, mask, thresholds=None) -> PRCurve:
     if positives == 0:
         raise ValidationError("mask has no positive entries")
 
-    if thresholds is None:
-        t = np.unique(s)[::-1]
-        if t.size > MAX_PR_THRESHOLDS:
-            idx = np.unique(np.linspace(0, t.size - 1, MAX_PR_THRESHOLDS).round().astype(int))
-            t = t[idx]
-    else:
-        t = np.asarray(thresholds, dtype=np.float64)
+    t = np.unique(s)[::-1] if thresholds is None else np.asarray(thresholds, dtype=np.float64)
 
     tp = _count_at_least(s[m], t)
     n_pred = _count_at_least(s.ravel(), t)

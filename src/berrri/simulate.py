@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .streams import child_rng
-from .types import GENOTYPE_VALUES, Dataset, PlantedTruth, require_integer, require_positive_finite
+from .types import GENOTYPE_VALUES, Dataset, PlantedTruth, is_real, require_integer, require_positive_finite
 
 __all__ = ["SimConfig", "synthetic_genotypes", "simulate"]
 
@@ -51,16 +51,18 @@ class SimConfig:
             )
         for name in ("effect_sd", "noise_sd"):
             require_positive_finite(getattr(self, name), name)
-        if not 0.0 <= self.correlation_floor <= 1.0:
+        if not (is_real(self.correlation_floor) and 0.0 <= self.correlation_floor <= 1.0):
             raise ValidationError(
-                f"correlation_floor must lie in [0, 1], got {self.correlation_floor}"
+                f"correlation_floor must lie in [0, 1], got {self.correlation_floor!r}"
             )
         try:
             lo, hi = self.maf_range
         except (TypeError, ValueError):
-            raise ValidationError(f"maf_range must be a pair (lo, hi), got {self.maf_range!r}") from None
-        if not (0.0 < lo <= hi <= 0.5):
-            raise ValidationError(f"maf_range must satisfy 0 < lo <= hi <= 0.5, got {self.maf_range}")
+            lo = hi = None
+        if not (is_real(lo) and is_real(hi) and 0.0 < lo <= hi <= 0.5):
+            raise ValidationError(
+                f"maf_range must be a pair (lo, hi) with 0 < lo <= hi <= 0.5, got {self.maf_range!r}"
+            )
 
 
 def synthetic_genotypes(n_individuals: int, n_snps: int, maf_range=(0.05, 0.5), seed=0) -> np.ndarray:

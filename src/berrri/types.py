@@ -30,14 +30,6 @@ __all__ = [
 
 GENOTYPE_VALUES = (0.0, 1.0, 2.0)
 
-# Float64 entries of one member's residual block (512 KiB): a sweep forms
-# each factor's N x P residual this many entries at a time, so the block
-# stays in a core's cache between its product, subtraction and reduction.
-# The block height follows from P alone, never from the batch size or the
-# host, so a member's bits do not depend on its batch and outputs do not
-# depend on the machine.
-RESIDUAL_BLOCK_ENTRIES = 65536
-
 
 def reject_repeats(ids, kind: str, where: str, start: int = 0):
     """Raise on the first ID that occurs twice, naming both of its positions."""
@@ -55,10 +47,16 @@ def require_integer(value, name: str):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number (numpy numbers included, bools and
+    strings not), so that comparing it with a bound is meaningful."""
+    return not isinstance(value, bool) and isinstance(value, Real)
+
+
 def require_positive_finite(value, name: str):
-    """Raise unless `value` is a positive finite real number (numpy numbers
-    included, bools and strings not), naming the field it was given for."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value > 0):
+    """Raise unless `value` is a positive finite real number (see `is_real`),
+    naming the field it was given for."""
+    if not (is_real(value) and math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -88,8 +86,9 @@ class Dataset:
 
     X holds minor-allele dosages in {0, 1, 2} for N individuals x Q SNPs; Y
     holds real-valued traits for the same N individuals x P traits; no axis
-    may be empty and no ID may repeat.  Optional base-pair positions enable
-    SNP-trait distance reporting.  Instances are immutable after
+    may be empty.  IDs are kept as text, the `str` of each given label,
+    since that is what result files hold, and no text may repeat.  Optional
+    base-pair positions enable SNP-trait distance reporting.  Instances are immutable after
     construction and safe to share across threads: their arrays are
     read-only and no caller can write to them (see `owned_array`), and
     Datasets built from one another share them.  X's column sums of squares
@@ -127,8 +126,8 @@ class Dataset:
             n, p = np.argwhere(~np.isfinite(Y))[0]
             raise ValidationError(f"non-finite trait value at individual {n}, trait {p}")
 
-        snp_ids = tuple(self.snp_ids) if len(self.snp_ids) else tuple(f"snp{q}" for q in range(X.shape[1]))
-        trait_ids = tuple(self.trait_ids) if len(self.trait_ids) else tuple(f"trait{p}" for p in range(Y.shape[1]))
+        snp_ids = tuple(map(str, self.snp_ids)) or tuple(f"snp{q}" for q in range(X.shape[1]))
+        trait_ids = tuple(map(str, self.trait_ids)) or tuple(f"trait{p}" for p in range(Y.shape[1]))
         if len(snp_ids) != X.shape[1]:
             raise ValidationError(f"{len(snp_ids)} SNP labels for {X.shape[1]} genotype columns")
         if len(trait_ids) != Y.shape[1]:
@@ -209,8 +208,8 @@ class Hyperparameters:
                 require_integer(getattr(self, name), name)
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
-        if not 0 < self.p_thresh < 1:
-            raise ValidationError(f"p_thresh must lie in (0, 1), got {self.p_thresh}")
+        if not (is_real(self.p_thresh) and 0 < self.p_thresh < 1):
+            raise ValidationError(f"p_thresh must lie in (0, 1), got {self.p_thresh!r}")
         if self.burn_in < 0:
             raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.check_interval < 1:
@@ -320,10 +319,10 @@ class BatchData:
     """The data of a batch of fits: the genotype matrix X its members share,
     X's column sums of squares, their traits stacked B x N x P and each
     member's ||Y_b||^2; the column sums and the norms are read from the
-    members' Datasets.  X's transpose and the residual scratch are built on
-    first use, so scoring one fit forms neither.  The scratch holds one
-    block of `block_rows` rows per member (B x rows x P); `row_blocks` are
-    the row slices that cover N, each `block_rows` high but the last.
+    members' Datasets.  X's transpose is built on first use, so scoring one
+    fit does not form it.  A sweep forms its residuals in row blocks of its
+    own (`engine._factor_residual_blocks`, whose height is set by P alone),
+    so nothing held here goes stale when members leave.
 
     It is also the record of which fits the batch holds: `members[i]` is
     the position, among the datasets it was built from, of the fit whose
@@ -347,9 +346,6 @@ class BatchData:
         self.yy = np.array([d.yy for d in datasets])
         self.members = np.arange(len(datasets))
         self._single = len(datasets) == 1
-        N, P = shape
-        self.block_rows = min(N, max(1, RESIDUAL_BLOCK_ENTRIES // P))
-        self.row_blocks = [slice(n, min(n + self.block_rows, N)) for n in range(0, N, self.block_rows)]
 
     def __len__(self) -> int:
         return len(self.Y)
@@ -357,12 +353,6 @@ class BatchData:
     @cached_property
     def XT(self) -> np.ndarray:
         return np.ascontiguousarray(self.X.T)
-
-    @cached_property
-    def residual(self) -> np.ndarray:
-        # reused for every block of every factor, so a sweep allocates no
-        # residual temporaries
-        return np.empty((len(self.Y), self.block_rows, self.Y.shape[2]))
 
     def name(self, row: int, template: str) -> str:
         """`template` with "batch member b" put in, b being the position of
@@ -375,7 +365,6 @@ class BatchData:
         self.Y = self.Y[rows]
         self.yy = self.yy[rows]
         self.members = self.members[rows]
-        self.__dict__.pop("residual", None)
 
 
 def batch_of(state: VariationalState, data):

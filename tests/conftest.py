@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import berrri.engine
 from berrri import Dataset, Hyperparameters, VariationalState
 from berrri.engine import update_A, update_eta, update_kappa, update_lambda
 
@@ -51,6 +52,23 @@ def compose_public_updates(state, data, hp, after=lambda: None):
         for p in range(P):
             update_kappa(state, hp, k, p)
             after()
+
+
+def record_row_blocks(monkeypatch, entries: int) -> list:
+    """Make the engine form residuals in blocks of `entries` per member and
+    record the (start, stop) rows of every block it forms from then on;
+    returns the list they are appended to."""
+    monkeypatch.setattr(berrri.engine, "RESIDUAL_BLOCK_ENTRIES", entries)
+    real = berrri.engine._factor_residual_blocks
+    seen = []
+
+    def recorded(*args):
+        for rows, R in real(*args):
+            seen.append((rows.start, rows.stop))
+            yield rows, R
+
+    monkeypatch.setattr(berrri.engine, "_factor_residual_blocks", recorded)
+    return seen
 
 
 @pytest.fixture

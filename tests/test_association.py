@@ -19,9 +19,8 @@ from berrri import (
     vmap_signed,
 )
 from berrri.streams import child_rng
-from berrri.types import BatchData
 
-from conftest import random_state
+from conftest import random_state, record_row_blocks
 
 
 class TestVmap:
@@ -140,6 +139,11 @@ class TestFdrThreshold:
         # n_real/n_null = 1/2 -> 1.0
         assert fdr_threshold(real, null, 0.10) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("target", ["0.1", True])
+    def test_rejects_invalid_target(self, target):
+        with pytest.raises(ValidationError, match=r"^fdr_target must lie in \(0, 1\), got"):
+            fdr_threshold([1.0], [0.5], target)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             fdr_threshold([], [1.0], 0.1)
@@ -197,12 +201,11 @@ class TestRunPermutationFdr:
         self._assert_real_fit_equals_fit_on_its_own()
 
     def test_real_fit_equals_fit_on_its_own_in_row_blocks(self, monkeypatch):
-        # residual blocks of 25 rows: the scratch that members leaving the
-        # batch rebuild spans three blocks, 25, 25 and 10 rows high
-        monkeypatch.setattr("berrri.types.RESIDUAL_BLOCK_ENTRIES", 150)
-        shape = BatchData([Dataset(X=np.zeros((60, 1)), Y=np.zeros((60, 6)))])
-        assert [rows.stop for rows in shape.row_blocks] == [25, 50, 60]
+        # residual blocks of 25 rows: 150 entries over 6 traits, in three
+        # blocks, 25, 25 and 10 rows high, as members leave the batch
+        seen = record_row_blocks(monkeypatch, 150)
         self._assert_real_fit_equals_fit_on_its_own()
+        assert set(seen) == {(0, 25), (25, 50), (50, 60)}
 
     def _assert_real_fit_equals_fit_on_its_own(self):
         # the real fit shares its batch with the permutation refits, which

@@ -23,7 +23,7 @@ from berrri import (
 from berrri.metrics import rss
 from berrri.types import BatchData, VariationalState
 
-from conftest import compose_public_updates, micro_instance
+from conftest import compose_public_updates, micro_instance, record_row_blocks
 
 
 def six_member_batch():
@@ -144,55 +144,64 @@ class TestRowBlocks:
     def test_blocked_products_match_unblocked(self, monkeypatch):
         data, hp, first = micro_instance(n=23, q=5, p=7, k=3, seed=60)
         _, _, second = micro_instance(n=23, q=5, p=7, k=3, seed=61)
-        datasets = [data, permute_labels(data, 1)]
+        ws = BatchData([data, permute_labels(data, 1)])
         batch = VariationalState.stack([first, second])
-        one_block = BatchData(datasets)
-        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 35)
-        blocked = BatchData(datasets)
-        assert [len(one_block.row_blocks), blocked.block_rows, len(blocked.row_blocks)] == [1, 5, 5]
-        assert blocked.residual.shape == (2, 5, 7)
+        seen = record_row_blocks(monkeypatch, berrri.engine.RESIDUAL_BLOCK_ENTRIES)
+        unblocked = [berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k)[0] for k in range(batch.k_max)]
+        assert set(seen) == {(0, 23)}
+        seen.clear()
+        monkeypatch.setattr(berrri.engine, "RESIDUAL_BLOCK_ENTRIES", 35)
 
         def close(a, b):
             return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-        M = blocked.X @ batch.eta
+        M = ws.X @ batch.eta
         for k in range(batch.k_max):
             M_other = M.copy()
             M_other[:, :, k] = 0.0
-            R = blocked.Y - M_other @ batch.phi
-            blocks = berrri.engine._factor_residual_blocks(blocked, M, batch.phi, k)
+            R = ws.Y - M_other @ batch.phi
+            blocks = berrri.engine._factor_residual_blocks(ws, M, batch.phi, k)
             U = np.concatenate([R_rows @ batch.phi[:, k, :, None] for _, R_rows in blocks], axis=1)
             assert close(U, R @ batch.phi[:, k, :, None])
             # the callers: U enters the logit offsets, M_k'R enters phi_k as
             # M_k'R varphi_k / sigma2
-            terms = [berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k) for ws in (blocked, one_block)]
-            assert close(terms[0][0], terms[1][0])
+            assert close(berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k)[0], unblocked[k])
             updated = batch.copy()
-            berrri.engine._A_factor_update(updated, blocked, hp.sigma2, k, M)
+            berrri.engine._A_factor_update(updated, ws, hp.sigma2, k, M)
             MR = (M[:, None, :, k] @ R)[:, 0]
             assert close(updated.phi[:, k], MR / hp.sigma2 * updated.varphi[:, k])
+        # 35 entries over 7 traits: blocks of 5 rows
+        assert sorted(set(seen)) == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
 
     def test_sweep_matches_public_updates(self, monkeypatch):
-        # the helper's shapes have P of 3 and 4 over 5 and 6 rows
-        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 8)
+        # the helper's shapes have P of 3 and 4 over 5 and 6 rows: blocks of 2
+        seen = record_row_blocks(monkeypatch, 8)
         assert_sweep_matches_public_updates()
+        assert set(seen) == {(0, 2), (2, 4), (4, 5), (4, 6)}
 
     def test_no_sweep_lowers_the_elbo(self, monkeypatch):
-        monkeypatch.setattr(berrri.types, "RESIDUAL_BLOCK_ENTRIES", 42)
+        seen = record_row_blocks(monkeypatch, 42)
         data, _ = simulate(SimConfig(n_individuals=40, n_snps=12, n_traits=6, k_true=2, seed=5))
-        assert len(BatchData([data]).row_blocks) == 6
         hp = Hyperparameters(k_max=4, seed=5, burn_in=0, check_interval=10, max_iter=60)
         _, report = fit(data, hp)
         assert report.iterations >= 20 and report.elbo_decreases == 0
+        assert sorted(set(seen)) == [(n, min(n + 7, 40)) for n in range(0, 40, 7)]
 
     def test_block_height_depends_on_traits_only(self):
+        def row_blocks(ws):
+            # the rows and the residual shape of each of factor 0's blocks
+            B, N, P = ws.Y.shape
+            blocks = berrri.engine._factor_residual_blocks(ws, np.zeros((B, N, 1)), np.zeros((B, 1, P)), 0)
+            return [(rows.start, rows.stop, R.shape) for rows, R in blocks]
+
         # 65,536 entries per member over 1,200 traits: blocks of 54 rows
         data = Dataset(X=np.zeros((120, 2)), Y=np.ones((120, 1200)))
-        alone, batch = BatchData([data]), BatchData([data] * 11)
-        assert alone.block_rows == batch.block_rows == 54
-        assert alone.row_blocks == batch.row_blocks == [slice(0, 54), slice(54, 108), slice(108, 120)]
-        assert alone.residual.shape[1:] == batch.residual.shape[1:] == (54, 1200)
-        assert BatchData([Dataset(X=np.zeros((3, 2)), Y=np.ones((3, 70000)))]).block_rows == 1
+        for B in (1, 11):
+            assert row_blocks(BatchData([data] * B)) == [
+                (0, 54, (B, 54, 1200)), (54, 108, (B, 54, 1200)), (108, 120, (B, 12, 1200))
+            ]
+        wide = BatchData([Dataset(X=np.zeros((3, 2)), Y=np.ones((3, 70000)))])
+        assert [block[:2] for block in row_blocks(wide)] == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestFit:

@@ -205,6 +205,16 @@ class TestSaveResults:
         assert (flagged == (magnitude >= threshold)).all() and flagged.any()
         assert io.load_manifest(paths["manifest"])["n_discoveries"] == int(flagged.sum())
 
+    def test_integer_ids_are_written_as_text(self, tmp_path):
+        from berrri import Dataset
+
+        fitted, state, report = self._fitted()
+        data = Dataset(X=fitted.X, Y=fitted.Y, snp_ids=range(8), trait_ids=range(10, 14))
+        paths = io.save_results(tmp_path / "r", data, state, report)
+        reloaded = io.load_matrix(paths["vmap_matrix"], "trait")
+        assert reloaded.row_ids == tuple(map(str, range(8)))
+        assert reloaded.col_ids == tuple(map(str, range(10, 14)))
+
     def test_distance_column_present_with_positions(self, tmp_path):
         data, state, report = self._fitted(with_positions=True)
         paths = io.save_results(tmp_path / "r", data, state, report)

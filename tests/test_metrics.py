@@ -91,12 +91,13 @@ class TestPrecisionRecall:
                 assert p == (tp / int(predicted.sum()) if predicted.any() else 1.0)
                 assert r == tp / int(mask.sum())
 
-    def test_default_thresholds_subsampled_and_decreasing(self):
+    def test_default_thresholds_are_every_distinct_score_decreasing(self):
         rng = np.random.default_rng(1)
-        scores = rng.normal(size=(40, 30))
+        # 1,200 scores, 600 of them distinct
+        scores = np.repeat(rng.normal(size=(20, 30)), 2, axis=0)
         mask = rng.uniform(size=(40, 30)) < 0.1
         curve = precision_recall(scores, mask)
-        assert curve.thresholds.size <= 500
+        assert curve.thresholds.size == np.unique(scores).size == 600
         assert (np.diff(curve.thresholds) < 0).all()
         assert (np.diff(curve.recall) >= 0).all()
 

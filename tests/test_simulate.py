@@ -21,6 +21,9 @@ class TestSimConfig:
             {"seed": False},
             {"effect_sd": "1"},
             {"noise_sd": True},
+            {"correlation_floor": "0.5"},
+            {"correlation_floor": True},
+            {"maf_range": ("a", "b")},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -29,10 +32,12 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("effect_sd", float("inf")), ("noise_sd", 0.0), ("maf_range", (0.1,)), ("maf_range", 0.3),
-        ("effect_sd", "1"), ("noise_sd", True),
+        ("effect_sd", "1"), ("noise_sd", True), ("correlation_floor", "0.5"), ("correlation_floor", True),
+        ("maf_range", ("a", "b")),
     ])
     def test_error_names_the_field(self, name, value):
-        with pytest.raises(ValidationError, match=f"^{name} must be"):
+        rule = r"lie in \[0, 1\]" if name == "correlation_floor" else "be"
+        with pytest.raises(ValidationError, match=f"^{name} must {rule}"):
             SimConfig(**{name: value})
 
     def test_counts_and_seed_are_integers(self):

@@ -55,6 +55,13 @@ class TestDataset:
         with pytest.raises(ValidationError, match="trait ID 't' appears twice, at indices 0 and 1"):
             Dataset(X=[[1]], Y=[[1.0, 2.0]], trait_ids=("t", "t"))
 
+    def test_ids_are_text(self):
+        data = Dataset(X=[[1, 0, 2]], Y=[[1.0, 2.0]], snp_ids=range(3), trait_ids=np.array([7, 8]))
+        assert data.snp_ids == ("0", "1", "2") and data.trait_ids == ("7", "8")
+        # 1 and "1" are written as the same text
+        with pytest.raises(ValidationError, match="SNP ID '1' appears twice, at indices 0 and 1"):
+            Dataset(X=[[1, 0]], Y=[[1.0]], snp_ids=[1, "1"])
+
     def test_rejects_non_finite_positions(self):
         with pytest.raises(ValidationError, match="snp_positions holds a non-finite value at index 0"):
             Dataset(X=[[1, 0]], Y=[[1.0]], snp_positions=[np.nan, 1.0])
@@ -117,15 +124,17 @@ class TestHyperparameters:
             {"alpha": True},
             {"sigma2": True},
             {"d": None},
+            {"p_thresh": "0.05"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             Hyperparameters(**kwargs)
 
-    @pytest.mark.parametrize("name, value", [("alpha", "1"), ("sigma2", True), ("d", None)])
+    @pytest.mark.parametrize("name, value", [("alpha", "1"), ("sigma2", True), ("d", None), ("p_thresh", "0.05")])
     def test_error_names_the_field(self, name, value):
-        with pytest.raises(ValidationError, match=f"^{name} must be a positive finite number"):
+        rule = r"lie in \(0, 1\)" if name == "p_thresh" else "be a positive finite number"
+        with pytest.raises(ValidationError, match=f"^{name} must {rule}"):
             Hyperparameters(**{name: value})
 
     def test_counts_are_integers(self):
