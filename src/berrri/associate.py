@@ -35,15 +35,13 @@ def _check_fdr_target(fdr_target: float):
 
 @dataclass(frozen=True)
 class AssociationScores:
-    """Q x P association scores plus permutation-FDR calibration metadata.
+    """The permutation-FDR calibration of a fit's scores, `vmap(state)`.
 
-    signed holds the raw posterior-mean products; the score magnitudes
-    (vmap) and the permutation count follow from the stored fields.
-    threshold is None when no score reaches the FDR target.
-    permutation_reports holds the FitReport of each permutation refit.
+    threshold is None when no score reaches the FDR target, and
+    `discoveries(state)` applies it.  null_scores pools the permutation
+    refits' scores; permutation_reports holds the FitReport of each refit.
     """
 
-    signed: np.ndarray
     fdr_target: float
     threshold: Optional[float] = None
     null_scores: Optional[np.ndarray] = None
@@ -53,19 +51,16 @@ class AssociationScores:
         _check_fdr_target(self.fdr_target)
 
     @property
-    def vmap(self) -> np.ndarray:
-        """The score magnitudes |signed|."""
-        return np.abs(self.signed)
-
-    @property
     def n_permutations(self) -> int:
         return len(self.permutation_reports)
 
-    def discoveries(self) -> np.ndarray:
-        """Boolean Q x P matrix: scores at or above the threshold."""
+    def discoveries(self, state: VariationalState) -> np.ndarray:
+        """Boolean Q x P matrix: the state's scores at or above the
+        threshold, all False when there is none."""
+        scores = vmap(state)
         if self.threshold is None:
-            return np.zeros_like(self.vmap, dtype=bool)
-        return self.vmap >= self.threshold
+            return np.zeros_like(scores, dtype=bool)
+        return scores >= self.threshold
 
 
 def vmap_signed(state: VariationalState) -> np.ndarray:
@@ -148,12 +143,9 @@ def run_permutation_fdr(
         starts.append(engine.initial_state(d, replace(hp, seed=seed)))
     (state, *perm_states), (report, *perm_reports) = fit([data, *shuffled], hp, starts)
     null = np.concatenate([vmap(s).ravel() for s in perm_states])
-
-    threshold = fdr_threshold(vmap(state).ravel(), null, fdr_target)
     result = AssociationScores(
-        signed=vmap_signed(state),
         fdr_target=fdr_target,
-        threshold=threshold,
+        threshold=fdr_threshold(vmap(state).ravel(), null, fdr_target),
         null_scores=null,
         permutation_reports=tuple(perm_reports),
     )

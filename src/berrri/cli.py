@@ -189,7 +189,7 @@ def _cmd_fit(args) -> int:
         logger.info(
             "fdr threshold=%s discoveries=%d -> %s",
             "none" if scores.threshold is None else f"{scores.threshold:.6g}",
-            int(scores.discoveries().sum()),
+            int(scores.discoveries(state).sum()),
             paths["manifest"],
         )
     return 0

@@ -295,12 +295,10 @@ class FitReport:
     when it stops: per-block scalar traces (the mean of each parameter
     block, one value per sweep), the ELBO of every sweep, every convergence
     check run on the traces (empty if none ran) and the number of sweeps
-    that lowered the ELBO; plus the burn-in and check cadence settings.
-    The sweep count, final ELBO and convergence follow from these.  It
-    holds no timing, so identical fits give equal reports."""
+    that lowered the ELBO.  The sweep count, final ELBO and convergence
+    follow from these.  It holds no settings (the fit's `Hyperparameters`
+    do) and no timing, so identical fits give equal reports."""
 
-    burn_in: int
-    check_interval: int
     traces: dict = field(default_factory=lambda: {b: [] for b in TRACE_BLOCKS})
     elbo_trace: list = field(default_factory=list, init=False)
     checks: list = field(default_factory=list, init=False)
@@ -344,13 +342,6 @@ class FitReport:
             "checks": [asdict(check) for check in self.checks],
         }
 
-    def post_burn(self, block: str) -> np.ndarray:
-        return np.asarray(self.traces[block][self.burn_in:], dtype=np.float64)
-
-    def ready(self) -> bool:
-        n = self.iterations
-        return n - self.burn_in >= _MIN_POST_BURN and n % self.check_interval == 0
-
 
 @dataclass(frozen=True)
 class ConvergenceCheck:
@@ -393,10 +384,11 @@ def geweke_statistic(trace):
 
 
 def check_convergence(report: FitReport, hp: Hyperparameters) -> ConvergenceCheck:
-    """Geweke test on every block trace; converged iff all p exceed p_thresh."""
+    """Geweke test on every block trace past its first `hp.burn_in` values;
+    converged iff all p exceed `hp.p_thresh`."""
     t_stats, p_values, degenerate = {}, {}, []
     for block in TRACE_BLOCKS:
-        t, p, degen = geweke_statistic(report.post_burn(block))
+        t, p, degen = geweke_statistic(report.traces[block][hp.burn_in:])
         t_stats[block] = t
         p_values[block] = p
         if degen:
@@ -423,14 +415,16 @@ def fit(data, hp: Hyperparameters, init_state=None):
     Datasets that share X and, if any, a sequence of initial states, fits
     them as one batch under the one set of hyperparameters `hp` and returns
     the list of states and the list of reports; each member stops at its
-    own converged check, and those still running stop at max_iter.  A
-    member's start is `initial_state(data, hp)` unless given, so members
-    that should start apart are given their own initial states; a given
-    state is left unchanged.  Each member's `FitReport` records its
-    progress (block traces, ELBO trace, checks, ELBO decreases) as it runs
-    and is returned as it stands when the member stops; its sweep count
-    covers this fit's sweeps only.  Deterministic for a given (data, hp,
-    seed): identical runs produce identical parameter traces and reports.
+    own converged check (run after each sweep n that `hp.check_interval`
+    divides, once n - `hp.burn_in` >= _MIN_POST_BURN), and those still
+    running stop at max_iter.  A member's start is `initial_state(data, hp)`
+    unless given, so members that should start apart are given their own
+    initial states; a given state has k_max factors and is left unchanged.
+    Each member's `FitReport` records its progress (block traces, ELBO
+    trace, checks, ELBO decreases) as it runs and is returned as it stands
+    when the member stops; its sweep count covers this fit's sweeps only.
+    Deterministic for a given (data, hp, seed): identical runs produce
+    identical parameter traces and reports.
     Non-convergence at max_iter is logged as one warning, not raised.
     Every update should raise the ELBO, so each sweep that lowers it by more
     than ELBO_DECREASE_RTOL of its previous value is logged as a warning and
@@ -465,9 +459,11 @@ def fit(data, hp: Hyperparameters, init_state=None):
                 f"state is for {state.n_snps} SNPs x {state.n_traits} traits, data has "
                 f"{d.n_snps} x {d.n_traits}"
             )
+        if state.k_max != hp.resolve_k_max(d.n_snps):
+            raise ValidationError(f"state has {state.k_max} factors, k_max is {hp.resolve_k_max(d.n_snps)}")
         states.append(state)
     ws = BatchData(datasets)
-    reports = [FitReport(hp.burn_in, hp.check_interval) for _ in range(B)]
+    reports = [FitReport() for _ in range(B)]
     results = [None] * B
     stack = VariationalState.stack(states)
 
@@ -475,6 +471,8 @@ def fit(data, hp: Hyperparameters, init_state=None):
         sweep(stack, ws, hp)
         values = elbo(stack, ws, hp)
         means = _block_means(stack)
+        # every member still running has run n_sweeps sweeps of this fit
+        check_due = n_sweeps - hp.burn_in >= _MIN_POST_BURN and n_sweeps % hp.check_interval == 0
         staying = []
         for i, b in enumerate(ws.members):
             report = reports[b]
@@ -486,7 +484,7 @@ def fit(data, hp: Hyperparameters, init_state=None):
                     n_sweeps,
                     *report.elbo_trace[-2:],
                 )
-            if report.ready():
+            if check_due:
                 check = check_convergence(report, hp)
                 report.checks.append(check)
                 logger.info(

@@ -1,13 +1,13 @@
 """Matrix file ingestion and result persistence.
 
 Interchange format is tab-separated text: one header row of column IDs and one
-leading column of row IDs.  Floats are written with 17 significant digits so a
+leading column of row IDs.  A cell is the text between two tabs; quotes are
+ordinary characters.  Floats are written with 17 significant digits so a
 write/read round trip is exact.  Every result directory carries a JSON
 manifest with the full configuration, seed, format version, and the berrri,
 numpy, scipy and Python versions, from which the run is reproducible.
 """
 
-import csv
 import json
 import platform
 from pathlib import Path
@@ -61,8 +61,8 @@ def load_matrix(path, kind: str) -> MatrixFile:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
+    with open(path) as fh:
+        reader = (line.rstrip("\n").split("\t") for line in fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -159,8 +159,9 @@ def load_positions(path) -> dict:
     if not path.is_file():
         raise ValidationError(f"no such file: {path}")
     ids, positions = [], []
-    with open(path, newline="") as fh:
-        for i, rec in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+    with open(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            rec = line.rstrip("\n").split("\t")
             if len(rec) != 2:
                 raise ValidationError(f"{path}: line {i} has {len(rec)} fields, expected 2")
             try:
@@ -257,14 +258,14 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
     trait, effect mean), null_scores.tsv when a permutation null is attached,
     and manifest.json, which holds the real fit's `FitReport.summary()` at
     its top level and each permutation fit's under `permutation_fits`.  The
-    scores are `state`'s; `scores` adds only its calibration, flagging the
-    pairs whose magnitude reaches its threshold.  Returns {name: path}.
+    scores are `state`'s; `scores` adds only its calibration, and the pairs
+    flagged significant are its `discoveries(state)` (none without it).
+    Returns {name: path}.
     """
     out = _prepare_out_dir(out_dir)
     signed = vmap_signed(state)
     magnitude = np.abs(signed)
-    threshold = scores.threshold if scores is not None else None
-    significant = magnitude >= threshold if threshold is not None else np.zeros_like(magnitude, dtype=bool)
+    significant = scores.discoveries(state) if scores is not None else np.zeros_like(magnitude, dtype=bool)
     with_distance = dataset.snp_positions is not None and dataset.trait_positions is not None
 
     paths = {}
@@ -310,7 +311,7 @@ def save_results(out_dir, dataset: Dataset, state, report, scores=None, config: 
         "config": config or {},
         **report.summary(),
         "k_effective": state.effective_k(),
-        "threshold": threshold,
+        "threshold": scores.threshold if scores is not None else None,
         "fdr_target": scores.fdr_target if scores is not None else None,
         "n_permutations": scores.n_permutations if scores is not None else None,
         "permutation_fits": [r.summary() for r in scores.permutation_reports] if scores is not None else None,

@@ -87,7 +87,8 @@ class Dataset:
     X holds minor-allele dosages in {0, 1, 2} for N individuals x Q SNPs; Y
     holds real-valued traits for the same N individuals x P traits; no axis
     may be empty.  IDs are kept as text, the `str` of each given label,
-    since that is what result files hold, and no text may repeat.  Optional
+    since that is what result files hold; no text may repeat or hold a
+    tab, CR or LF, which would split a TSV cell or line.  Optional
     base-pair positions enable SNP-trait distance reporting.  Instances are immutable after
     construction and safe to share across threads: their arrays are
     read-only and no caller can write to them (see `owned_array`), and
@@ -132,8 +133,11 @@ class Dataset:
             raise ValidationError(f"{len(snp_ids)} SNP labels for {X.shape[1]} genotype columns")
         if len(trait_ids) != Y.shape[1]:
             raise ValidationError(f"{len(trait_ids)} trait labels for {Y.shape[1]} trait columns")
-        reject_repeats(snp_ids, "SNP ID", "at indices")
-        reject_repeats(trait_ids, "trait ID", "at indices")
+        for kind, ids in (("SNP ID", snp_ids), ("trait ID", trait_ids)):
+            reject_repeats(ids, kind, "at indices")
+            for i, text in enumerate(ids):
+                if any(c in text for c in "\t\r\n"):
+                    raise ValidationError(f"{kind} {text!r} at index {i} holds a tab, CR or LF")
 
         positions = {}
         for name, n in (("snp_positions", X.shape[1]), ("trait_positions", Y.shape[1])):

@@ -225,8 +225,8 @@ def test_criterion_6_fdr_calibration():
         Y = child_rng(seed, "noise-traits").normal(size=(100, 25))
         data = Dataset(X=X, Y=Y)
         hp = Hyperparameters(k_max=10, seed=seed, max_iter=300)
-        scores, _, _ = run_permutation_fdr(data, hp, fdr_target=0.1, n_permutations=10)
-        zero_seeds += int(scores.discoveries().sum()) == 0
+        scores, state, _ = run_permutation_fdr(data, hp, fdr_target=0.1, n_permutations=10)
+        zero_seeds += int(scores.discoveries(state).sum()) == 0
 
     # planted arm: N=300 keeps spurious genotype correlations (~1/sqrt(N))
     # well below the co-inclusion scale, the regime the calibration targets
@@ -235,8 +235,8 @@ def test_criterion_6_fdr_calibration():
         cfg = SimConfig(n_individuals=300, n_snps=50, n_traits=25, k_true=5, seed=seed)
         data, truth = simulate(cfg)
         hp = Hyperparameters(k_max=10, seed=seed, max_iter=300)
-        scores, _, _ = run_permutation_fdr(data, hp, fdr_target=0.1, n_permutations=10)
-        disc = scores.discoveries()
+        scores, state, _ = run_permutation_fdr(data, hp, fdr_target=0.1, n_permutations=10)
+        disc = scores.discoveries(state)
         n_disc = int(disc.sum())
         fdrs.append(int((disc & ~truth.mask).sum()) / n_disc if n_disc else 0.0)
     mean_fdr = float(np.mean(fdrs))

@@ -48,7 +48,7 @@ class TestGewekeStatistic:
 
 class TestFitReport:
     def test_records_one_scalar_per_block_per_iteration(self):
-        mon = FitReport(burn_in=2, check_interval=5)
+        mon = FitReport()
         for _ in range(7):
             mon.record(MEANS, -1.0)
         assert mon.iterations == 7
@@ -56,24 +56,10 @@ class TestFitReport:
             assert len(mon.traces[block]) == 7
         assert mon.elbo_trace == [-1.0] * 7 and mon.elbo_decreases == 0
 
-    def test_post_burn_slices_off_burn_in(self):
-        mon = FitReport(burn_in=3, check_interval=5)
-        for _ in range(10):
-            mon.record(MEANS, -1.0)
-        assert mon.post_burn("eta").size == 7
-
-    def test_ready_needs_cadence_and_min_length(self):
-        mon = FitReport(burn_in=5, check_interval=10)
-        for i in range(1, 41):
-            mon.record(MEANS, -1.0)
-            if i < 30:
-                assert not mon.ready() or i % 10 != 0 or i - 5 >= 20
-        assert mon.iterations == 40 and mon.ready()
-
 
 class TestCheckConvergence:
     def _monitor_with(self, traces):
-        mon = FitReport(burn_in=0, check_interval=1)
+        mon = FitReport()
         n = len(next(iter(traces.values())))
         for block in TRACE_BLOCKS:
             mon.traces[block] = list(traces.get(block, np.zeros(n)))
@@ -82,7 +68,7 @@ class TestCheckConvergence:
     def test_converged_requires_all_blocks(self):
         rng = np.random.default_rng(3)
         flat = {b: rng.normal(size=300) for b in TRACE_BLOCKS}
-        hp = Hyperparameters()
+        hp = Hyperparameters(burn_in=0)
         assert check_convergence(self._monitor_with(flat), hp).converged
         drifting = dict(flat)
         drifting["kappa"] = 0.05 * np.arange(300) + rng.normal(0, 0.01, 300)
@@ -93,9 +79,19 @@ class TestCheckConvergence:
 
     def test_reports_degenerate_blocks(self):
         traces = {b: np.ones(100) for b in TRACE_BLOCKS}
-        result = check_convergence(self._monitor_with(traces), Hyperparameters())
+        result = check_convergence(self._monitor_with(traces), Hyperparameters(burn_in=0))
         assert result.converged
         assert set(result.degenerate) == set(TRACE_BLOCKS)
+
+    def test_skips_the_burn_in(self):
+        # kappa drifts for 50 sweeps, then stays flat; the other blocks are constant
+        kappa = np.concatenate([np.linspace(0.0, 5.0, 50), np.full(100, 5.0)])
+        mon = self._monitor_with({"kappa": kappa})
+        drifting = check_convergence(mon, Hyperparameters(burn_in=0))
+        assert not drifting.converged and drifting.p_values["kappa"] < 1e-6
+        settled = check_convergence(mon, Hyperparameters(burn_in=50))
+        assert settled.converged and settled.degenerate == TRACE_BLOCKS
+        assert drifting.iteration == settled.iteration == 150
 
 
 class TestMonitorCalibration:

@@ -306,6 +306,16 @@ class TestFit:
             assert not any(c.converged for c in rep.checks[:-1])
             assert rep.checks[-1].converged == rep.converged
 
+    def test_checks_wait_for_min_length_past_burn_in(self):
+        # at burn_in 5 sweep 20 leaves 15 post-burn values, under the 20 a
+        # check needs, so the first check falls at sweep 30
+        datasets, hp, starts = six_member_batch()
+        hp = replace(hp, burn_in=5)
+        _, reports = fit(datasets, hp, starts)
+        for rep in reports:
+            assert [c.iteration for c in rep.checks] == list(range(30, rep.iterations + 1, 10))
+            assert rep.checks[-1].converged == rep.converged
+
     def test_unconverged_member_warns_once(self, caplog):
         # each member that reaches max_iter unconverged logs one warning,
         # naming it; a converged member logs none
@@ -335,6 +345,10 @@ class TestFit:
             fit(data, hp, init_state=[start])
         with pytest.raises(ValidationError, match="one plain initial state per dataset"):
             fit([data, data], hp, VariationalState.stack([start, start]))
+        with pytest.raises(ValidationError, match="state has 2 factors, k_max is 5"):
+            fit(data, replace(hp, k_max=5), init_state=start)
+        with pytest.raises(ValidationError, match="state has 2 factors, k_max is 5"):
+            fit([data, data], replace(hp, k_max=5), [None, start])
 
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))

@@ -51,6 +51,21 @@ class TestLoadMatrix:
         with pytest.raises(ValidationError, match="line 2 has 2 fields"):
             io.load_matrix(path, "trait")
 
+    def test_a_quoted_tab_splits_the_cell(self, tmp_path):
+        # a cell is the text between two tabs: quotes do not join cells
+        path = tmp_path / "m.tsv"
+        path.write_text('id\t"rs\t1"\trs2\na\t0\t1\n')
+        with pytest.raises(ValidationError, match="line 2 has 3 fields, expected 4"):
+            io.load_matrix(path, "genotype")
+
+    def test_quotes_are_part_of_an_id(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text('id\t"rs1"\trs2\n"a"\t0\t1\n')
+        loaded = io.load_matrix(path, "genotype")
+        assert loaded.col_ids == ('"rs1"', "rs2") and loaded.row_ids == ('"a"',)
+        again = write_matrix(tmp_path / "again.tsv", loaded.values, loaded.row_ids, loaded.col_ids)
+        assert again.read_text() == path.read_text()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such file"):
             io.load_matrix(tmp_path / "absent.tsv", "trait")
@@ -176,27 +191,25 @@ class TestSaveResults:
         from berrri import AssociationScores
 
         data, state, report = self._fitted()
-        signed = state.eta @ state.phi
-        scores = AssociationScores(
-            signed=signed, fdr_target=0.1, threshold=float(np.quantile(np.abs(signed), 0.8)),
-        )
+        threshold = float(np.quantile(np.abs(state.eta @ state.phi), 0.8))
+        scores = AssociationScores(fdr_target=0.1, threshold=threshold)
         paths = io.save_results(tmp_path / "r", data, state, report, scores=scores)
         reloaded = io.load_matrix(paths["vmap_matrix"], "trait")
         again = reloaded.values >= scores.threshold
-        assert (again == scores.discoveries()).all()
+        assert (again == scores.discoveries(state)).all()
         flagged = np.array([
             int(line.split("\t")[4])
             for line in paths["vmap"].read_text().splitlines()[1:]
         ]).reshape(8, 4)
-        assert (flagged.astype(bool) == scores.discoveries()).all()
+        assert (flagged.astype(bool) == scores.discoveries(state)).all()
 
-    def test_score_tables_describe_the_state_not_the_scores_signed(self, tmp_path):
+    def test_score_tables_and_flags_describe_the_state(self, tmp_path):
         from berrri import AssociationScores
 
         data, state, report = self._fitted()
         magnitude = np.abs(state.eta @ state.phi)
         threshold = float(np.quantile(magnitude, 0.7))
-        scores = AssociationScores(signed=np.full_like(magnitude, 9.0), fdr_target=0.1, threshold=threshold)
+        scores = AssociationScores(fdr_target=0.1, threshold=threshold)
         paths = io.save_results(tmp_path / "r", data, state, report, scores=scores)
         assert np.array_equal(io.load_matrix(paths["vmap_matrix"], "trait").values, magnitude)
         rows = [line.split("\t") for line in paths["vmap"].read_text().splitlines()[1:]]
@@ -274,6 +287,14 @@ class TestCli:
         )
         assert float(metrics["rss_insample"]) == 0.0
         assert "pr_auc" in metrics
+
+    def test_eval_reads_a_cell_of_any_length(self, tmp_path):
+        long_id = "s" * 200_000
+        scores = write_matrix(tmp_path / "scores.tsv", [[0.9, 0.1]], [long_id], ["t0", "t1"])
+        mask = write_matrix(tmp_path / "mask.tsv", [[1, 0]], [long_id], ["t0", "t1"])
+        out = tmp_path / "eval"
+        assert run(["eval", "--scores", str(scores), "--mask", str(mask), "--out-dir", str(out)]) == 0
+        assert io.load_manifest(out / "manifest.json")["metrics"]["pr_auc"] == 1.0
 
     def test_eval_rejects_pairs_whose_ids_differ(self, tmp_path, capsys):
         scores = write_matrix(tmp_path / "s.tsv", [[0.9, 0.1], [0.2, 0.8]], ["q0", "q1"], ["p0", "p1"])

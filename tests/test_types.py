@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,14 @@ class TestDataset:
         # 1 and "1" are written as the same text
         with pytest.raises(ValidationError, match="SNP ID '1' appears twice, at indices 0 and 1"):
             Dataset(X=[[1, 0]], Y=[[1.0]], snp_ids=[1, "1"])
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_rejects_an_id_that_would_split_a_tsv_cell(self, char):
+        bad = f"rs{char}1"
+        with pytest.raises(ValidationError, match=re.escape(f"SNP ID {bad!r} at index 1 holds a tab, CR or LF")):
+            Dataset(X=[[1, 0]], Y=[[1.0]], snp_ids=("rs0", bad))
+        with pytest.raises(ValidationError, match=re.escape(f"trait ID {bad!r} at index 0 holds a tab, CR or LF")):
+            Dataset(X=[[1]], Y=[[1.0, 2.0]], trait_ids=(bad, "t1"))
 
     def test_rejects_non_finite_positions(self):
         with pytest.raises(ValidationError, match="snp_positions holds a non-finite value at index 0"):
