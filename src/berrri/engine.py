@@ -38,9 +38,9 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import digamma, erfc
 
 from . import kernels
+from ._special import digamma_gammaln, erfc
 from .errors import EngineError, ValidationError
 from .model import elbo
 from .streams import child_rng
@@ -146,17 +146,26 @@ def _factor_residual_blocks(ws: BatchData, M: np.ndarray, phi: np.ndarray, k: in
         yield rows, np.subtract(ws.Y[:, rows], R, out=R)
 
 
-def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int):
+def _prior_logits(lam):
+    """The prior part of the inclusion logits of the factors in `lam`,
+    E[log pi_k] - E[log(1 - pi_k)] = psi(lam_k1) - psi(lam_k2)."""
+    psi = digamma_gammaln(lam)[0]
+    return psi[..., 0] - psi[..., 1]
+
+
+def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit=None):
     """Parts of factor k's inclusion logits that stay fixed across its sweep,
     for every member: the logit offsets (Q x B) and the coefficient of the
-    load term (length B)."""
+    load term (length B).  The members' prior logits (length B) are formed
+    from lambda unless given."""
+    if prior_logit is None:
+        prior_logit = _prior_logits(batch.lam[:, k])
     phi_k = batch.phi[:, k, :, None]
     U = np.empty(ws.Y.shape[:2])
     # matmul forms, so a batch of one computes `R @ phi[k]` and `XT @ u` bit for bit
     for rows, R in _factor_residual_blocks(ws, ws.X @ batch.eta, batch.phi, k):
         np.matmul(R, phi_k, out=U[:, rows, None])
     XU = np.matmul(ws.XT, U[..., None])[..., 0].T
-    prior_logit = digamma(batch.lam[:, k, 0]) - digamma(batch.lam[:, k, 1])
     inv_sigma2 = 1.0 / sigma2
     coef = (batch.varphi[:, k] + batch.phi[:, k] ** 2).sum(axis=1) * inv_sigma2
     offset = np.multiply.outer(ws.x2sum, -0.5 * coef) + prior_logit + inv_sigma2 * XU
@@ -170,11 +179,11 @@ def _nonfinite_logit(ws: BatchData, row: int, k: int, q: int) -> EngineError:
     )
 
 
-def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int):
+def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit=None):
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
-    offset, coef = _eta_factor_terms(batch, ws, sigma2, k)
+    offset, coef = _eta_factor_terms(batch, ws, sigma2, k, prior_logit)
     E = np.ascontiguousarray(batch.eta[:, :, k])
     bad = kernels.eta_factor_sweep(ws.XT, E, offset, coef)
     if bad is not None:
@@ -188,7 +197,9 @@ def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: i
     batch, ws = batch_of(state, data)
     offset, coef = _eta_factor_terms(batch, ws, hp.sigma2, k)
     E = state.eta[:, k].copy()
-    if not np.isfinite(kernels.eta_snp_update(E, ws.XT, q, offset[q, 0], coef[0])):
+    with np.errstate(over="ignore"):
+        t = kernels.eta_snp_update(E, ws.XT, q, offset[q, 0], coef[0])
+    if not np.isfinite(t):
         raise _nonfinite_logit(ws, 0, k, q)
     state.eta[q, k] = E[q]
     return state.eta[q, k]
@@ -270,8 +281,10 @@ def sweep(state: VariationalState, data, hp: Hyperparameters) -> VariationalStat
     for k in range(K):
         _lambda_update(batch.lam, batch.eta, hp.alpha, k)
 
+    # the lambda block is done, so every factor's prior logits are fixed
+    prior_logits = _prior_logits(batch.lam)
     for k in range(K):
-        _eta_factor_update(batch, ws, hp.sigma2, k)
+        _eta_factor_update(batch, ws, hp.sigma2, k, prior_logits[:, k])
 
     _effect_blocks(batch, ws, hp)
     return state
@@ -379,7 +392,7 @@ def geweke_statistic(trace):
             return 0.0, 1.0, True
         return math.inf, 0.0, True
     t = (m1 - m2) / math.sqrt(s1 / n1 + s2 / n2)
-    p = float(erfc(abs(t) / math.sqrt(2.0)))
+    p = erfc(abs(t) / math.sqrt(2.0))
     return float(t), p, False
 
 

@@ -5,7 +5,7 @@ leading column of row IDs.  A cell is the text between two tabs; quotes are
 ordinary characters.  Floats are written with 17 significant digits so a
 write/read round trip is exact.  Every result directory carries a JSON
 manifest with the full configuration, seed, format version, and the berrri,
-numpy, scipy and Python versions, from which the run is reproducible.
+numpy and Python versions, from which the run is reproducible.
 """
 
 import json
@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .associate import vmap_signed
@@ -237,7 +236,6 @@ def _write_manifest(path, payload: dict):
         "berrri": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "scipy": scipy.__version__,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

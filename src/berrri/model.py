@@ -17,8 +17,8 @@ reads.
 import math
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, xlogy
 
+from ._special import digamma_gammaln, xlogy
 from .errors import EngineError
 from .types import BatchData, Hyperparameters, VariationalState, batch_of
 
@@ -65,13 +65,30 @@ def _expected_residual_ss(batch: VariationalState, data: BatchData) -> np.ndarra
     )
 
 
-def _digammas(batch: VariationalState):
-    """The digamma and log terms that the expected log joint and the entropy
-    share: psi(lam1), psi(lam2), psi(lam1 + lam2), psi(kappa1), log(kappa2)."""
-    lam1, lam2 = batch.lam[..., 0], batch.lam[..., 1]
+def _special_terms(batch: VariationalState):
+    """The special-function and log terms that the expected log joint and
+    the entropy share, from one digamma / log Gamma pass over lam1, lam2,
+    lam1 + lam2 and kappa1: psi(lam1), psi(lam2), psi(lam1 + lam2),
+    log B(lam1, lam2), psi(kappa1), log Gamma(kappa1) and log(kappa2).
+
+    Every state `fit` writes holds kappa1 = c + 1/2 in each of its K x P
+    entries (the update's closed form), so a kappa1 whose entries are all
+    equal is passed as one value, and its terms broadcast: the pass is
+    elementwise, so they are the bits the whole array would give.
+    """
+    lam1, lam2, kappa1 = batch.lam[..., 0], batch.lam[..., 1], batch.kappa[..., 0]
+    n = lam1.size
+    kappa1 = kappa1.ravel()
+    k1_shape = batch.kappa.shape[:-1]
+    if (kappa1 == kappa1[0]).all():
+        kappa1, k1_shape = kappa1[:1], (1,) * len(k1_shape)
+    psi, lgamma = digamma_gammaln(np.concatenate([lam1.ravel(), lam2.ravel(), (lam1 + lam2).ravel(), kappa1]))
+    psi1, psi2, psi12 = psi[: 3 * n].reshape((3,) + lam1.shape)
+    lgamma1, lgamma2, lgamma12 = lgamma[: 3 * n].reshape((3,) + lam1.shape)
     return (
-        digamma(lam1), digamma(lam2), digamma(lam1 + lam2),
-        digamma(batch.kappa[..., 0]), np.log(batch.kappa[..., 1]),
+        psi1, psi2, psi12, lgamma1 + lgamma2 - lgamma12,
+        psi[3 * n :].reshape(k1_shape), lgamma[3 * n :].reshape(k1_shape),
+        np.log(batch.kappa[..., 1]),
     )
 
 
@@ -80,14 +97,14 @@ def expected_log_joint(state: VariationalState, data, hp: Hyperparameters):
     per member for a stacked state with its BatchData, all under the one set
     of hyperparameters."""
     batch, data = batch_of(state, data)
-    return _result(_expected_log_joint(batch, data, hp, _digammas(batch)), state)
+    return _result(_expected_log_joint(batch, data, hp, _special_terms(batch)), state)
 
 
-def _expected_log_joint(batch: VariationalState, data: BatchData, hp: Hyperparameters, psi) -> np.ndarray:
+def _expected_log_joint(batch: VariationalState, data: BatchData, hp: Hyperparameters, terms) -> np.ndarray:
     N, P = data.Y.shape[1:]
     K = batch.k_max
     a0 = hp.alpha / K
-    psi1, psi2, psi12, psi_k1, log_k2 = psi
+    psi1, psi2, psi12, _, psi_k1, _, log_k2 = terms
 
     e_lik = (
         -0.5 * N * P * (LOG_2PI + math.log(hp.sigma2))
@@ -108,7 +125,7 @@ def _expected_log_joint(batch: VariationalState, data: BatchData, hp: Hyperparam
     e_a2 = batch.varphi + batch.phi**2
     e_a = (-0.5 * (LOG_2PI + e_log_delta) - 0.5 * e_inv_delta * e_a2).sum(axis=(1, 2))
     e_delta = (
-        hp.c * math.log(hp.d) - gammaln(hp.c) - (hp.c + 1.0) * e_log_delta - hp.d * e_inv_delta
+        hp.c * math.log(hp.d) - math.lgamma(hp.c) - (hp.c + 1.0) * e_log_delta - hp.d * e_inv_delta
     ).sum(axis=(1, 2))
     return e_lik + e_z + e_pi + e_a + e_delta
 
@@ -117,20 +134,20 @@ def entropy(state: VariationalState):
     """Entropy H[q] of the factorized posterior; one value per member of a
     stacked state."""
     batch = state if state.eta.ndim == 3 else state.as_batch()
-    return _result(_entropy(batch, _digammas(batch)), state)
+    return _result(_entropy(batch, _special_terms(batch)), state)
 
 
-def _entropy(batch: VariationalState, psi) -> np.ndarray:
-    psi1, psi2, psi12, psi_k1, log_k2 = psi
+def _entropy(batch: VariationalState, terms) -> np.ndarray:
+    psi1, psi2, psi12, log_beta, psi_k1, lgamma_k1, log_k2 = terms
     lam1, lam2 = batch.lam[..., 0], batch.lam[..., 1]
     h_pi = (
-        betaln(lam1, lam2) - (lam1 - 1.0) * psi1 - (lam2 - 1.0) * psi2 + (lam1 + lam2 - 2.0) * psi12
+        log_beta - (lam1 - 1.0) * psi1 - (lam2 - 1.0) * psi2 + (lam1 + lam2 - 2.0) * psi12
     ).sum(axis=1)
     eta = batch.eta
     h_z = -(xlogy(eta, eta) + xlogy(1.0 - eta, 1.0 - eta)).sum(axis=(1, 2))
     h_a = (0.5 * (LOG_2PI + 1.0 + np.log(batch.varphi))).sum(axis=(1, 2))
     k1 = batch.kappa[..., 0]
-    h_delta = (k1 + log_k2 + gammaln(k1) - (1.0 + k1) * psi_k1).sum(axis=(1, 2))
+    h_delta = (k1 + log_k2 + lgamma_k1 - (1.0 + k1) * psi_k1).sum(axis=(1, 2))
     return h_pi + h_z + h_a + h_delta
 
 
@@ -143,8 +160,8 @@ def elbo(state: VariationalState, data, hp: Hyperparameters):
     scored under the one set of hyperparameters.
     """
     batch, data = batch_of(state, data)
-    psi = _digammas(batch)
-    values = _expected_log_joint(batch, data, hp, psi) + _entropy(batch, psi)
+    terms = _special_terms(batch)
+    values = _expected_log_joint(batch, data, hp, terms) + _entropy(batch, terms)
     if not np.isfinite(values).all():
         b = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EngineError(

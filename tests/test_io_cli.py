@@ -8,7 +8,6 @@ import platform
 
 import numpy as np
 import pytest
-import scipy
 
 import berrri
 
@@ -179,7 +178,6 @@ class TestSaveResults:
             "berrri": berrri.__version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
         }
         flagged = sum(
             int(line.split("\t")[4])
