@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["BLOCK", "digamma_gammaln", "erfc", "xlogy"]
+__all__ = ["BLOCK", "digamma_gammaln", "xlogy"]
 
 # The series coefficients c_j of z^j, j = 0 .. 7: B_2k / (2k) for psi and
 # B_2k / (2k (2k - 1)) for log Gamma, k = j + 1, with B_2k the Bernoulli
@@ -41,8 +41,6 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Values per pass: a longer array runs in blocks of this many, so the pass's
 # temporaries (a few dozen values per input) stay small and in cache.
 BLOCK = 512
-
-erfc = math.erfc
 
 
 def digamma_gammaln(x):

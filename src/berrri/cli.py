@@ -69,11 +69,8 @@ _FDR_FLAGS = (
 )
 
 
-def _sim_defaults() -> dict:
-    """SimConfig's defaults, with maf_range split into --maf-min/--maf-max."""
-    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
-    defaults["maf_min"], defaults["maf_max"] = defaults.pop("maf_range")
-    return defaults
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
 def _add_flags(parser, table, defaults: dict):
@@ -105,14 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    hyper_defaults = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
     fdr_defaults = {
         name: param.default for name, param in inspect.signature(run_permutation_fdr).parameters.items()
     }
 
     sim = sub.add_parser("simulate", help="generate a planted-truth dataset")
     _add_out_dir(sim)
-    _add_flags(sim, _SIM_FLAGS, _sim_defaults())
+    _add_flags(sim, _SIM_FLAGS, _field_defaults(SimConfig))
     sim.add_argument("--genotypes", default=None, help="optional external genotype TSV to subsample")
 
     fit_p = sub.add_parser("fit", help="fit the model and write association scores")
@@ -120,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (fit_p, fdr_p):
         _add_out_dir(command)
         _add_input_flags(command)
-        _add_flags(command, _HYPER_FLAGS, hyper_defaults)
+        _add_flags(command, _HYPER_FLAGS, _field_defaults(Hyperparameters))
     _add_flags(fdr_p, _FDR_FLAGS, fdr_defaults)
 
     eval_p = sub.add_parser("eval", help="score a fit (or any score file) against truth")
@@ -160,10 +156,8 @@ def _require_out_dir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     out_dir = _require_out_dir(args)
-    fields = _values(args, _SIM_FLAGS)
-    fields["maf_range"] = (fields.pop("maf_min"), fields.pop("maf_max"))
     genotypes = io.load_matrix(args.genotypes, "genotype").values if args.genotypes else None
-    data, truth = simulate(SimConfig(**fields, genotypes=genotypes))
+    data, truth = simulate(SimConfig(**_values(args, _SIM_FLAGS)), genotypes)
     paths = io.save_simulation(out_dir, data, truth, config=_run_config(args))
     logger.info("simulated %d x %d genotypes, %d traits -> %s", data.n_individuals, data.n_snps, data.n_traits, paths["manifest"])
     return 0
@@ -207,7 +201,15 @@ def _cmd_eval(args) -> int:
         score_file = io.load_matrix(args.scores, "trait")
         mask_file = io.load_matrix(args.mask, "trait")
         io.require_same_ids(args.scores, score_file, args.mask, mask_file)
-        curve = metrics.precision_recall(score_file.values, mask_file.values > 0.5)
+        mask = mask_file.values
+        bad = (mask != 0) & (mask != 1)
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), mask.shape[1])
+            raise ValidationError(
+                f"{args.mask}: mask value {float(mask[i, j])!r} at row {mask_file.row_ids[i]!r}, "
+                f"column {mask_file.col_ids[j]!r} is not 0 or 1"
+            )
+        curve = metrics.precision_recall(score_file.values, mask == 1)
         pr_rows = curve.rows()
         results["pr_auc"] = curve.auc
         p75 = curve.precision_at_recall(0.75)

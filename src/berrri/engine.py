@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from ._special import digamma_gammaln, erfc
+from ._special import digamma_gammaln
 from .errors import EngineError, ValidationError
 from .model import elbo
 from .streams import child_rng
@@ -153,13 +153,10 @@ def _prior_logits(lam):
     return psi[..., 0] - psi[..., 1]
 
 
-def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit=None):
+def _eta_factor_terms(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit):
     """Parts of factor k's inclusion logits that stay fixed across its sweep,
-    for every member: the logit offsets (Q x B) and the coefficient of the
-    load term (length B).  The members' prior logits (length B) are formed
-    from lambda unless given."""
-    if prior_logit is None:
-        prior_logit = _prior_logits(batch.lam[:, k])
+    for every member, given the members' prior logits (length B): the logit
+    offsets (Q x B) and the coefficient of the load term (length B)."""
     phi_k = batch.phi[:, k, :, None]
     U = np.empty(ws.Y.shape[:2])
     # matmul forms, so a batch of one computes `R @ phi[k]` and `XT @ u` bit for bit
@@ -179,7 +176,7 @@ def _nonfinite_logit(ws: BatchData, row: int, k: int, q: int) -> EngineError:
     )
 
 
-def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit=None):
+def _eta_factor_update(batch: VariationalState, ws: BatchData, sigma2: float, k: int, prior_logit):
     """Inclusion updates of factor k for every member of the batch, in the
     kernel.  A non-finite logit raises before any SNP of the factor is
     written."""
@@ -195,7 +192,7 @@ def update_eta(state: VariationalState, data: Dataset, hp: Hyperparameters, k: i
     """Exact mean-field update of one inclusion probability: the sweep's
     SNP step.  A non-finite logit raises before the SNP is written."""
     batch, ws = batch_of(state, data)
-    offset, coef = _eta_factor_terms(batch, ws, hp.sigma2, k)
+    offset, coef = _eta_factor_terms(batch, ws, hp.sigma2, k, _prior_logits(batch.lam[:, k]))
     E = state.eta[:, k].copy()
     with np.errstate(over="ignore"):
         t = kernels.eta_snp_update(E, ws.XT, q, offset[q, 0], coef[0])
@@ -392,7 +389,7 @@ def geweke_statistic(trace):
             return 0.0, 1.0, True
         return math.inf, 0.0, True
     t = (m1 - m2) / math.sqrt(s1 / n1 + s2 / n2)
-    p = erfc(abs(t) / math.sqrt(2.0))
+    p = math.erfc(abs(t) / math.sqrt(2.0))
     return float(t), p, False
 
 

@@ -7,7 +7,6 @@ and traits are the noisy linear reconstruction X @ Z @ A + noise.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,12 +19,10 @@ __all__ = ["SimConfig", "synthetic_genotypes", "simulate"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation dimensions and distributions.
-
-    genotypes, when given, is an external dosage matrix at least
-    (n_individuals x n_snps); a seeded random subset of its rows and columns
-    is used.  Otherwise genotypes are sampled per SNP as Binomial(2, f) with
-    minor-allele frequency f drawn uniformly from maf_range.
+    """Simulation dimensions and distributions: one field per flag of
+    `berrri simulate`.  Synthetic genotypes are sampled per SNP as
+    Binomial(2, f) with minor-allele frequency f drawn uniformly from
+    [maf_min, maf_max].
     """
 
     n_individuals: int = 100
@@ -35,9 +32,9 @@ class SimConfig:
     effect_sd: float = 0.5
     noise_sd: float = 1.0
     correlation_floor: float = 0.8
-    maf_range: tuple = (0.05, 0.5)
+    maf_min: float = 0.05
+    maf_max: float = 0.5
     seed: int = 0
-    genotypes: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("n_individuals", "n_snps", "n_traits", "k_true", "seed"):
@@ -55,20 +52,19 @@ class SimConfig:
             raise ValidationError(
                 f"correlation_floor must lie in [0, 1], got {self.correlation_floor!r}"
             )
-        try:
-            lo, hi = self.maf_range
-        except (TypeError, ValueError):
-            lo = hi = None
-        if not (is_real(lo) and is_real(hi) and 0.0 < lo <= hi <= 0.5):
-            raise ValidationError(
-                f"maf_range must be a pair (lo, hi) with 0 < lo <= hi <= 0.5, got {self.maf_range!r}"
-            )
+        for name in ("maf_min", "maf_max"):
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 < value <= 0.5):
+                raise ValidationError(f"{name} must lie in (0, 0.5], got {value!r}")
+        if self.maf_min > self.maf_max:
+            raise ValidationError(f"maf_min must not exceed maf_max ({self.maf_max}), got {self.maf_min}")
 
 
-def synthetic_genotypes(n_individuals: int, n_snps: int, maf_range=(0.05, 0.5), seed=0) -> np.ndarray:
-    """Independent dosage matrix: per SNP, Binomial(2, f) with f ~ U(maf_range)."""
+def synthetic_genotypes(n_individuals: int, n_snps: int, maf_min=0.05, maf_max=0.5, seed=0) -> np.ndarray:
+    """Independent dosage matrix: per SNP, Binomial(2, f) with
+    f ~ U(maf_min, maf_max)."""
     rng = seed if isinstance(seed, np.random.Generator) else child_rng(seed, "genotypes")
-    freqs = rng.uniform(maf_range[0], maf_range[1], size=n_snps)
+    freqs = rng.uniform(maf_min, maf_max, size=n_snps)
     return rng.binomial(2, freqs, size=(n_individuals, n_snps)).astype(np.float64)
 
 
@@ -83,12 +79,17 @@ def _correlation_with(X: np.ndarray, index: int) -> np.ndarray:
     return r
 
 
-def simulate(cfg: SimConfig):
-    """Draw (Dataset, PlantedTruth) deterministically from the config seed."""
+def simulate(cfg: SimConfig, genotypes=None):
+    """Draw (Dataset, PlantedTruth) deterministically from the config seed.
+
+    genotypes, when given, is an external dosage matrix at least
+    (n_individuals x n_snps), of which a seeded random subset of rows and
+    columns is used; otherwise the genotypes are `synthetic_genotypes`.
+    """
     N, Q, P, K = cfg.n_individuals, cfg.n_snps, cfg.n_traits, cfg.k_true
 
-    if cfg.genotypes is not None:
-        pool = np.asarray(cfg.genotypes, dtype=np.float64)
+    if genotypes is not None:
+        pool = np.asarray(genotypes, dtype=np.float64)
         if pool.ndim != 2 or pool.shape[0] < N or pool.shape[1] < Q:
             shape = pool.shape if pool.ndim == 2 else ("?",)
             raise ValidationError(
@@ -107,7 +108,7 @@ def simulate(cfg: SimConfig):
                 "is not a dosage in {0, 1, 2}"
             )
     else:
-        X = synthetic_genotypes(N, Q, cfg.maf_range, child_rng(cfg.seed, "genotypes"))
+        X = synthetic_genotypes(N, Q, cfg.maf_min, cfg.maf_max, child_rng(cfg.seed, "genotypes"))
 
     factor_rng = child_rng(cfg.seed, "factors")
     Z = np.zeros((Q, K), dtype=np.int8)

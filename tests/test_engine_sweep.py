@@ -147,7 +147,10 @@ class TestRowBlocks:
         ws = BatchData([data, permute_labels(data, 1)])
         batch = VariationalState.stack([first, second])
         seen = record_row_blocks(monkeypatch, berrri.engine.RESIDUAL_BLOCK_ENTRIES)
-        unblocked = [berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k)[0] for k in range(batch.k_max)]
+        prior = berrri.engine._prior_logits(batch.lam)
+        unblocked = [
+            berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k, prior[:, k])[0] for k in range(batch.k_max)
+        ]
         assert set(seen) == {(0, 23)}
         seen.clear()
         monkeypatch.setattr(berrri.engine, "RESIDUAL_BLOCK_ENTRIES", 35)
@@ -165,7 +168,7 @@ class TestRowBlocks:
             assert close(U, R @ batch.phi[:, k, :, None])
             # the callers: U enters the logit offsets, M_k'R enters phi_k as
             # M_k'R varphi_k / sigma2
-            assert close(berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k)[0], unblocked[k])
+            assert close(berrri.engine._eta_factor_terms(batch, ws, hp.sigma2, k, prior[:, k])[0], unblocked[k])
             updated = batch.copy()
             berrri.engine._A_factor_update(updated, ws, hp.sigma2, k, M)
             MR = (M[:, None, :, k] @ R)[:, 0]
@@ -349,6 +352,23 @@ class TestFit:
             fit(data, replace(hp, k_max=5), init_state=start)
         with pytest.raises(ValidationError, match="state has 2 factors, k_max is 5"):
             fit([data, data], replace(hp, k_max=5), [None, start])
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("lam", np.ones((3, 2)), r"lam has shape \(3, 2\), expected \(2, 2\)"),
+        ("phi", np.zeros((3, 3)), r"phi has shape \(3, 3\), expected \(2, 3\)"),
+        ("varphi", np.ones((2, 4)), r"varphi has shape \(2, 4\), expected \(2, 3\)"),
+        ("kappa", np.ones((2, 3)), r"kappa has shape \(2, 3\), expected \(2, 3, 2\)"),
+        ("lam", np.array([[1.0, 1.0], [0.0, 1.0]]), "lam entries must be strictly positive"),
+        ("kappa", np.full((2, 3, 2), -1.0), "kappa entries must be strictly positive"),
+        ("lam", np.full((2, 2), np.inf), "non-finite entries in lam"),
+        ("phi", np.full((2, 3), np.nan), "non-finite entries in phi"),
+    ])
+    def test_rejects_a_start_with_a_malformed_block(self, name, value, message):
+        data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))
+        hp = Hyperparameters(k_max=2, burn_in=2, check_interval=5, max_iter=10)
+        start = replace(initial_state(data, hp), **{name: value})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit(data, hp, init_state=start)
 
     def test_batch_rejects_mismatched_members(self):
         data, _ = simulate(SimConfig(n_individuals=20, n_snps=6, n_traits=3, k_true=2, seed=2))

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import digamma, expit
 
 from berrri import Dataset, EngineError, Hyperparameters, SimConfig, elbo, initial_state, simulate
-from berrri.engine import _eta_factor_update, update_A, update_eta, update_kappa, update_lambda
+from berrri.engine import _eta_factor_update, _prior_logits, update_A, update_eta, update_kappa, update_lambda
 from berrri.types import BatchData
 
 from conftest import micro_instance
@@ -78,7 +78,7 @@ class TestEtaUpdate:
             state = initial_state(data, hp)
             for k in range(state.k_max):
                 swept = state.as_batch().copy()
-                _eta_factor_update(swept, BatchData([data]), hp.sigma2, k)
+                _eta_factor_update(swept, BatchData([data]), hp.sigma2, k, _prior_logits(swept.lam[:, k]))
                 assert update_eta(state.copy(), data, hp, k, 0) == swept.eta[0, 0, k]
 
     def test_nonfinite_logit_aborts(self):

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestLoadMatrix:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such file"):
             io.load_matrix(tmp_path / "absent.tsv", "trait")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("id\n", "header row has no column IDs"),
+        ("id\tc1\tc2\n", "no data rows"),
+        ("id\tc1\tc2\nr1\t1.0\t2.0\nr2\t3.0\tinf\n", "non-finite trait value at row 'r2', column 'c2'"),
+        ("id\tc1\tc2\nr1\tnan\t2.0\n", "non-finite trait value at row 'r1', column 'c1'"),
+    ])
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.load_matrix(path, "trait")
 
     def test_write_read_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -137,6 +151,19 @@ class TestLoadDataset:
         (tmp_path / "sp.tsv").write_text(f"s1\t100\ns2\t{text}\n")
         with pytest.raises(ValidationError, match=rf"sp\.tsv: non-finite position at line 2: '{text}'"):
             io.load_dataset(gx, gy, tmp_path / "sp.tsv")
+
+    @pytest.mark.parametrize("text, message", [
+        ("s1\t100\ns2\t250\t7\n", "line 2 has 3 fields, expected 2"),
+        ("s1\t100\ns2\n", "line 2 has 1 fields, expected 2"),
+        ("s1\t100\ns2\t25o\n", "malformed position at line 2: '25o'"),
+    ])
+    def test_malformed_position_file_names_its_line(self, tmp_path, text, message):
+        gx = write_matrix(tmp_path / "x.tsv", [[0, 1]], ["a"], ["s1", "s2"])
+        gy = write_matrix(tmp_path / "y.tsv", [[1.0]], ["a"], ["t1"])
+        positions = tmp_path / "sp.tsv"
+        positions.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{positions}: {message}')}$"):
+            io.load_dataset(gx, gy, positions)
 
 
 class TestSaveResults:
@@ -310,6 +337,27 @@ class TestCli:
         assert status == 1
         assert f"column 2: {scores} has 'p1', {renamed} has 'px'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0.7, 2.0, -1.0])
+    def test_eval_rejects_a_mask_cell_other_than_0_or_1(self, tmp_path, capsys, value):
+        scores = write_matrix(tmp_path / "s.tsv", [[0.9, 0.1], [0.2, 0.8]], ["q0", "q1"], ["p0", "p1"])
+        mask = write_matrix(tmp_path / "m.tsv", [[1, 0], [0, value]], ["q0", "q1"], ["p0", "p1"])
+        argv = ["eval", "--out-dir", str(tmp_path / "ev"), "--scores", str(scores), "--mask", str(mask)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {mask}: mask value {value!r} at row 'q1', column 'p1' is not 0 or 1\n"
+        )
+        assert not (tmp_path / "ev" / "metrics.tsv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "eval needs --scores/--mask and/or --rss entries"),
+        (["--scores", "s.tsv"], "--scores and --mask must be given together"),
+        (["--mask", "m.tsv", "--rss", "x", "t.tsv", "p.tsv"], "--scores and --mask must be given together"),
+    ])
+    def test_eval_flag_pairing_checked_before_any_output(self, tmp_path, capsys, flags, message):
+        assert run(["eval", "--out-dir", str(tmp_path / "ev"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ev").exists()
+
     def test_unknown_flag_exits_nonzero_with_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--does-not-exist"])
@@ -444,14 +492,19 @@ class TestCli:
         assert manifest["converged"]
         assert manifest["iterations"] < Hyperparameters().max_iter
 
+    def test_simulate_flags_are_the_sim_config_fields(self):
+        from berrri.cli import build_parser
+
+        dests = set(vars(build_parser().parse_args(["simulate"])))
+        assert dests - {"subcommand", "out_dir", "genotypes"} == {f.name for f in dataclasses.fields(SimConfig)}
+
     def test_flags_track_the_library_and_manifests_record_every_flag(self, tmp_path):
         from berrri.associate import run_permutation_fdr
         from berrri.cli import build_parser
 
         parser = build_parser()
         inputs = ["--genotypes", "x", "--traits", "y"]
-        sim = {f.name: getattr(SimConfig(), f.name) for f in dataclasses.fields(SimConfig)}
-        sim["maf_min"], sim["maf_max"] = sim.pop("maf_range")
+        sim = {f.name: f.default for f in dataclasses.fields(SimConfig)}
         hyper = {f.name: f.default for f in dataclasses.fields(Hyperparameters)}
         fdr = {
             name: param.default for name, param in inspect.signature(run_permutation_fdr).parameters.items()
@@ -476,7 +529,7 @@ class TestCli:
             command: io.load_manifest(tmp_path / command / "manifest.json")["config"]["options"]
             for command in ("simulate", "fit", "fdr", "eval")
         }
-        assert options["simulate"] == sim
+        assert options["simulate"] == {**sim, "genotypes": None}
 
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command, sub in subparsers.choices.items():

@@ -121,6 +121,10 @@ class TestPrecisionRecall:
         with pytest.raises(ValidationError, match="score at row 1, column 1 is NaN"):
             precision_recall(scores, [[True, False], [False, True]], thresholds)
 
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ValidationError, match=r"^shape mismatch: scores \(2, 2\) vs mask \(2, 3\)$"):
+            precision_recall(np.ones((2, 2)), np.ones((2, 3), dtype=bool))
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             precision_recall(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))

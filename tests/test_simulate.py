@@ -12,18 +12,19 @@ class TestSimConfig:
             {"k_true": 6, "n_snps": 5},
             {"effect_sd": 0.0},
             {"correlation_floor": 1.2},
-            {"maf_range": (0.0, 0.4)},
-            {"maf_range": (0.3, 0.6)},
+            {"maf_min": 0.0},
+            {"maf_max": 0.6},
             {"effect_sd": float("inf")},
             {"noise_sd": float("nan")},
-            {"maf_range": (0.1,)},
-            {"maf_range": 0.3},
+            {"maf_min": 0.4, "maf_max": 0.3},
+            {"maf_max": float("nan")},
             {"seed": False},
             {"effect_sd": "1"},
             {"noise_sd": True},
             {"correlation_floor": "0.5"},
             {"correlation_floor": True},
-            {"maf_range": ("a", "b")},
+            {"maf_min": "0.1"},
+            {"maf_max": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -31,14 +32,25 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("name, value", [
-        ("effect_sd", float("inf")), ("noise_sd", 0.0), ("maf_range", (0.1,)), ("maf_range", 0.3),
-        ("effect_sd", "1"), ("noise_sd", True), ("correlation_floor", "0.5"), ("correlation_floor", True),
-        ("maf_range", ("a", "b")),
+        ("effect_sd", float("inf")), ("noise_sd", 0.0), ("effect_sd", "1"), ("noise_sd", True),
+        ("correlation_floor", "0.5"), ("correlation_floor", True),
+        ("maf_min", 0.0), ("maf_min", "0.1"), ("maf_max", 0.6), ("maf_max", True),
     ])
     def test_error_names_the_field(self, name, value):
-        rule = r"lie in \[0, 1\]" if name == "correlation_floor" else "be"
+        maf = r"lie in \(0, 0\.5\]"
+        rule = {"correlation_floor": r"lie in \[0, 1\]", "maf_min": maf, "maf_max": maf}.get(name, "be")
         with pytest.raises(ValidationError, match=f"^{name} must {rule}"):
             SimConfig(**{name: value})
+
+    def test_maf_min_above_maf_max_names_both(self):
+        with pytest.raises(ValidationError, match=r"^maf_min must not exceed maf_max \(0\.3\), got 0\.4$"):
+            SimConfig(maf_min=0.4, maf_max=0.3)
+
+    def test_holds_settings_only(self):
+        # a pure settings record: hashable and equal by value
+        assert hash(SimConfig()) == hash(SimConfig())
+        assert SimConfig(seed=3, maf_min=0.1) == SimConfig(seed=3, maf_min=0.1) != SimConfig(seed=4)
+        assert len({SimConfig(), SimConfig(), SimConfig(seed=1)}) == 2
 
     def test_counts_and_seed_are_integers(self):
         cfg = SimConfig(n_individuals=np.int64(20), n_snps=np.int32(6), k_true=2, seed=np.uint8(3))
@@ -56,7 +68,7 @@ class TestSyntheticGenotypes:
         assert np.isin(X, (0.0, 1.0, 2.0)).all()
 
     def test_symmetric_maf_means_one(self):
-        X = synthetic_genotypes(3000, 30, maf_range=(0.5, 0.5), seed=2)
+        X = synthetic_genotypes(3000, 30, maf_min=0.5, maf_max=0.5, seed=2)
         # column mean of Binomial(2, 0.5) is 1 with sd sqrt(0.5/N)
         se = np.sqrt(0.5 / 3000)
         assert (np.abs(X.mean(axis=0) - 1.0) < 3.5 * se + 1e-9).all()
@@ -68,7 +80,7 @@ class TestSyntheticGenotypes:
 
         rng = child_rng(7, "genotypes")
         freqs = rng.uniform(0.05, 0.5, size=25)
-        X = synthetic_genotypes(1000, 25, maf_range=(0.05, 0.5), seed=7)
+        X = synthetic_genotypes(1000, 25, maf_min=0.05, maf_max=0.5, seed=7)
         observed = X.mean(axis=0) / 2.0
         se = np.sqrt(freqs * (1 - freqs) / (2 * 1000))
         assert (np.abs(observed - freqs) < 4 * se).all()
@@ -126,11 +138,8 @@ class TestSimulate:
         rng = np.random.default_rng(11)
         base = rng.integers(0, 3, size=(40, 6)).astype(float)
         pool = np.column_stack([base, base[:, 0]])  # column 6 duplicates 0
-        cfg = SimConfig(
-            n_individuals=40, n_snps=7, n_traits=4, k_true=7,
-            correlation_floor=0.8, seed=12, genotypes=pool,
-        )
-        data, truth = simulate(cfg)
+        cfg = SimConfig(n_individuals=40, n_snps=7, n_traits=4, k_true=7, correlation_floor=0.8, seed=12)
+        data, truth = simulate(cfg, genotypes=pool)
         dup = [q for q in range(7) if (data.X[:, q] == data.X[:, 0]).all()]
         if len(dup) == 2:  # subset kept both copies
             a, b = dup
@@ -138,9 +147,9 @@ class TestSimulate:
 
     def test_external_matrix_too_small(self):
         with pytest.raises(ValidationError, match="too small"):
-            simulate(SimConfig(n_individuals=10, n_snps=5, genotypes=np.zeros((3, 5))))
+            simulate(SimConfig(n_individuals=10, n_snps=5), genotypes=np.zeros((3, 5)))
 
     def test_external_matrix_bad_values(self):
         pool = np.full((10, 5), 3.0)
         with pytest.raises(ValidationError, match="not a dosage"):
-            simulate(SimConfig(n_individuals=5, n_snps=3, k_true=2, genotypes=pool))
+            simulate(SimConfig(n_individuals=5, n_snps=3, k_true=2), genotypes=pool)

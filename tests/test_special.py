@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
-from berrri._special import BLOCK, digamma_gammaln, erfc, xlogy
+from berrri._special import BLOCK, digamma_gammaln, xlogy
+from berrri.engine import geweke_statistic
 from berrri.kernels import eta_factor_sweep
 
 # a log grid over the model's range and beyond, with the zeros of psi
@@ -83,6 +82,13 @@ def test_xlogy_is_zero_at_zero():
     assert np.allclose(got, special.xlogy(x, y), rtol=1e-15, atol=0)
 
 
-def test_erfc_matches_scipy():
-    for t in (0.0, 0.1, 1.0, 1.959963984540054, 5.0, 30.0, math.inf):
-        assert erfc(t) == pytest.approx(float(special.erfc(t)), rel=1e-14, abs=0)
+def test_geweke_p_value_is_the_two_sided_normal_tail():
+    # a trace whose early mean sits apart from its late one, at several
+    # distances: p = 2 * P(N(0, 1) > |t|)
+    rng = np.random.default_rng(2)
+    for shift in (0.0, 0.3, 1.0, 5.0):
+        trace = rng.normal(size=400)
+        trace[:40] += shift
+        t, p, degenerate = geweke_statistic(trace)
+        assert not degenerate
+        assert p == pytest.approx(2 * stats.norm.sf(abs(t)), rel=1e-12, abs=0)

@@ -33,6 +33,15 @@ class TestDataset:
         with pytest.raises(ValidationError, match="labels"):
             Dataset(X=[[1, 0]], Y=[[1.0]], snp_ids=("a",))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"X": [0, 1], "Y": [[1.0]]}, r"X must be 2-dimensional, got shape \(2,\)"),
+        ({"X": [[1]], "Y": [1.0]}, r"Y must be 2-dimensional, got shape \(1,\)"),
+        ({"X": [[1]], "Y": [[1.0, 2.0]], "trait_ids": ("t",)}, "1 trait labels for 2 trait columns"),
+    ])
+    def test_rejects_a_malformed_matrix_naming_it(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dataset(**kwargs)
+
     def test_arrays_are_read_only(self):
         d = Dataset(X=[[1]], Y=[[1.0]])
         with pytest.raises(ValueError):
@@ -147,6 +156,11 @@ class TestHyperparameters:
         with pytest.raises(ValidationError, match=f"^{name} must {rule}"):
             Hyperparameters(**{name: value})
 
+    @pytest.mark.parametrize("name, value, floor", [("burn_in", -1, 0), ("check_interval", 0, 1)])
+    def test_count_below_its_floor_named(self, name, value, floor):
+        with pytest.raises(ValidationError, match=f"^{name} must be >= {floor}, got {value}$"):
+            Hyperparameters(**{name: value})
+
     def test_counts_are_integers(self):
         hp = Hyperparameters(k_max=np.int64(3), max_iter=np.int32(200), seed=np.uint8(4))
         assert hp.resolve_k_max(10) == 3
@@ -205,3 +219,13 @@ class TestPlantedTruth:
         Z = np.array([[1]])
         A = np.array([[0.0, 1.0]])
         assert (PlantedTruth(Z, A).mask == np.array([[False, True]])).all()
+
+    @pytest.mark.parametrize("Z, A, message", [
+        (np.ones((3, 2)), np.ones((3, 4)), r"inconsistent truth shapes: Z_true \(3, 2\), A_true \(3, 4\)"),
+        (np.ones(3), np.ones((1, 4)), r"inconsistent truth shapes: Z_true \(3,\), A_true \(1, 4\)"),
+        (np.zeros((3, 0)), np.zeros((0, 4)), "planted truth needs at least one factor"),
+        (np.array([[1], [2]]), np.ones((1, 4)), "Z_true must be binary"),
+    ])
+    def test_rejects_malformed_truth(self, Z, A, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            PlantedTruth(Z, A)
